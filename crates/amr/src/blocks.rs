@@ -23,6 +23,10 @@ impl BlockGrid {
     ///
     /// # Panics
     /// Panics if `unit` does not divide the level dimension.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "x < dim and by, bz < nb, so every block index is below nb^3 = counts.len()"
+    )]
     pub fn build<T: Element>(level: &AmrLevel<T>, unit: usize) -> Self {
         let dim = level.dim();
         assert!(
@@ -80,6 +84,10 @@ impl BlockGrid {
 
     /// Present-cell count of block `(bx, by, bz)`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "block coordinates below nb are the documented precondition (debug-asserted in index)"
+    )]
     pub fn count(&self, bx: usize, by: usize, bz: usize) -> u32 {
         self.counts[self.index(bx, by, bz)]
     }
@@ -151,6 +159,10 @@ impl BlockGrid {
 /// Copies the cell cuboid with origin `(x0, y0, z0)` and extents
 /// `(w, h, d)` out of a level's flat data into a contiguous buffer
 /// (x fastest).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the assert above keeps every row of the region inside data"
+)]
 pub fn copy_region<T: Copy>(
     data: &[T],
     dim: usize,
@@ -173,6 +185,10 @@ pub fn copy_region<T: Copy>(
 
 /// Writes a contiguous buffer produced by [`copy_region`] back at the same
 /// position.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the asserts above keep every row inside data and the rows exactly tile src"
+)]
 pub fn paste_region<T: Copy>(
     data: &mut [T],
     dim: usize,

@@ -103,13 +103,14 @@ impl<T: Element> AmrDataset<T> {
     }
 
     /// The finest level.
+    #[expect(clippy::indexing_slicing, reason = "`new` rejects an empty level list")]
     pub fn finest(&self) -> &AmrLevel<T> {
         &self.levels[0]
     }
 
     /// Side length of the finest grid (the uniform-resolution size).
     pub fn finest_dim(&self) -> usize {
-        self.levels[0].dim()
+        self.finest().dim()
     }
 
     /// Total number of *present* cells across levels (true storage size of
@@ -129,13 +130,21 @@ impl<T: Element> AmrDataset<T> {
     }
 
     /// Checks refinement ratios and the exactly-one-cover invariant.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the refinement ratios are checked first, so every covered position lies inside the finest n^3 grid"
+    )]
     pub fn validate(&self) -> Result<(), AmrValidationError> {
         if self.levels.is_empty() {
             return Err(AmrValidationError::NoLevels);
         }
-        for i in 0..self.levels.len() - 1 {
-            let fine = self.levels[i].dim();
-            let coarse = self.levels[i + 1].dim();
+        for (i, (fine, coarse)) in self
+            .levels
+            .iter()
+            .zip(self.levels.iter().skip(1))
+            .enumerate()
+        {
+            let (fine, coarse) = (fine.dim(), coarse.dim());
             if coarse * 2 != fine {
                 return Err(AmrValidationError::BadRefinementRatio {
                     fine_level: i,
@@ -187,7 +196,7 @@ impl<T: Element> AmrDataset<T> {
     /// Density of the finest level — the quantity TAC's top-level
     /// TAC-vs-3D-baseline switch inspects (Sec. 4.4).
     pub fn finest_density(&self) -> f64 {
-        self.levels[0].density()
+        self.finest().density()
     }
 }
 

@@ -95,11 +95,19 @@ impl<T: Element> AmrLevel<T> {
 
     /// Value at `(x, y, z)` (zero for absent cells).
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "in-grid coordinates are the documented precondition; data.len() == dim^3 by construction"
+    )]
     pub fn value(&self, x: usize, y: usize, z: usize) -> T {
         self.data[self.index(x, y, z)]
     }
 
     /// Writes a present cell.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "in-grid coordinates are the documented precondition; data.len() == dim^3 by construction"
+    )]
     pub fn set_value(&mut self, x: usize, y: usize, z: usize, v: T) {
         let i = self.index(x, y, z);
         self.data[i] = v;
@@ -107,6 +115,10 @@ impl<T: Element> AmrLevel<T> {
     }
 
     /// Marks a cell absent and zeroes its storage.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "in-grid coordinates are the documented precondition; data.len() == dim^3 by construction"
+    )]
     pub fn clear_cell(&mut self, x: usize, y: usize, z: usize) {
         let i = self.index(x, y, z);
         self.data[i] = T::ZERO;
@@ -133,6 +145,10 @@ impl<T: Element> AmrLevel<T> {
 
     /// Values of present cells, in flat-index order (the "1D baseline"
     /// representation of this level).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "mask.len() == data.len() by construction, so every set bit indexes data"
+    )]
     pub fn present_values(&self) -> Vec<T> {
         self.mask.iter_ones().map(|i| self.data[i]).collect()
     }
@@ -140,6 +156,10 @@ impl<T: Element> AmrLevel<T> {
     /// Min/max over present cells in `f64` working precision; `None` if
     /// the level is empty. (Widening is exact for both element types, so
     /// relative error bounds resolve against the true range.)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "mask.len() == data.len() by construction, so every set bit indexes data"
+    )]
     pub fn value_range(&self) -> Option<(f64, f64)> {
         let mut it = self.mask.iter_ones().map(|i| self.data[i].to_f64());
         let first = it.next()?;

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # tac-amr
 //!
 //! Data model for **tree-based adaptive mesh refinement (AMR)** snapshots,
@@ -27,6 +25,16 @@
 //! assert_eq!(to_uniform(&ds), vec![1.0; 8]);
 //! ```
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 mod aabb;

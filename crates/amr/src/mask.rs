@@ -50,6 +50,10 @@ impl BitMask {
     /// # Panics
     /// Panics if `i >= len`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i < len is asserted above and words.len() == len.div_ceil(64)"
+    )]
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
         (self.words[i / 64] >> (i % 64)) & 1 == 1
@@ -60,6 +64,10 @@ impl BitMask {
     /// # Panics
     /// Panics if `i >= len`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i < len is asserted above and words.len() == len.div_ceil(64)"
+    )]
     pub fn set(&mut self, i: usize, value: bool) {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
         let w = &mut self.words[i / 64];
@@ -140,10 +148,9 @@ impl BitMask {
             return None;
         }
         let (w0, w1) = (start / 64, (start + len - 1) / 64);
-        let mut first: Option<usize> = None;
-        let mut last: Option<usize> = None;
-        for wi in w0..=w1 {
-            let mut word = self.words[wi];
+        let mut found: Option<(usize, usize)> = None;
+        for (wi, &w) in (w0..=w1).zip(self.words.get(w0..=w1)?) {
+            let mut word = w;
             if wi == w0 {
                 word &= u64::MAX << (start % 64);
             }
@@ -155,11 +162,11 @@ impl BitMask {
             }
             if word != 0 {
                 let base = wi * 64;
-                first.get_or_insert(base + word.trailing_zeros() as usize - start);
-                last = Some(base + 63 - word.leading_zeros() as usize - start);
+                let first = found.map_or(base + word.trailing_zeros() as usize - start, |f| f.0);
+                found = Some((first, base + 63 - word.leading_zeros() as usize - start));
             }
         }
-        Some((first?, last.expect("last set with first")))
+        found
     }
 
     /// Zeroes any bits beyond `len` in the last word (keeps `count_ones`
@@ -186,18 +193,15 @@ impl BitMask {
     /// Parses a mask written by [`BitMask::to_bytes`]; `None` on malformed
     /// input (wrong length, or set bits beyond `len`).
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 8 {
-            return None;
-        }
-        let len = u64::from_le_bytes(bytes[0..8].try_into().ok()?) as usize;
+        let (len_bytes, rest) = bytes.split_first_chunk::<8>()?;
+        let len = u64::from_le_bytes(*len_bytes) as usize;
         let n_words = len.div_ceil(64);
-        if bytes.len() != 8 + n_words * 8 {
+        if rest.len() != n_words.checked_mul(8)? {
             return None;
         }
         let mut words = Vec::with_capacity(n_words);
-        for i in 0..n_words {
-            let off = 8 + i * 8;
-            words.push(u64::from_le_bytes(bytes[off..off + 8].try_into().ok()?));
+        for w in rest.chunks_exact(8) {
+            words.push(u64::from_le_bytes(w.try_into().ok()?));
         }
         let mut mask = BitMask { words, len };
         // Reject streams with garbage beyond the tail rather than silently

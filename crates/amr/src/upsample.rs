@@ -30,6 +30,10 @@ pub fn level_to_uniform<T: Element>(level: &AmrLevel<T>, scale: usize, n: usize)
     out
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "callers pass dim * scale == n and an n^3 `out`, so every scaled row lies inside it"
+)]
 fn splat_level<T: Element>(level: &AmrLevel<T>, scale: usize, n: usize, out: &mut [T]) {
     let dim = level.dim();
     for z in 0..dim {
@@ -63,6 +67,10 @@ pub fn redundant_points<T: Element>(ds: &AmrDataset<T>) -> usize {
 /// *first* (lowest-coordinate) covered fine position. With
 /// piecewise-constant up-sampling this inverts [`to_uniform`] exactly for
 /// data that came from an AMR dataset.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "uniform.len() == n^3 is asserted above, and in a refinement-ratio-2 dataset dim * 2^l == n for every level"
+)]
 pub fn from_uniform<T: Element>(template: &AmrDataset<T>, uniform: &[T]) -> AmrDataset<T> {
     let n = template.finest_dim();
     assert_eq!(uniform.len(), n * n * n, "uniform grid size mismatch");
@@ -92,6 +100,10 @@ pub fn from_uniform<T: Element>(template: &AmrDataset<T>, uniform: &[T]) -> AmrD
 /// — the restriction operator used when the uniform grid has been
 /// modified (e.g. decompressed) and block values may disagree. The mean
 /// accumulates in `f64` working precision and narrows once per cell.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "uniform.len() == n^3 is asserted above, and in a refinement-ratio-2 dataset dim * 2^l == n for every level"
+)]
 pub fn from_uniform_averaged<T: Element>(template: &AmrDataset<T>, uniform: &[T]) -> AmrDataset<T> {
     let n = template.finest_dim();
     assert_eq!(uniform.len(), n * n * n, "uniform grid size mismatch");

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # tac-analysis
 //!
 //! Post-analysis metrics for evaluating lossy compression of cosmology

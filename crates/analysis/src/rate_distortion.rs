@@ -2,10 +2,9 @@
 //! and 15.
 
 use crate::metrics::{amr_distortion, Distortion};
-use serde::Serialize;
 
 /// One point of a rate-distortion curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RdPoint {
     /// Error bound that produced the point (relative or absolute,
     /// caller's convention).
@@ -19,7 +18,7 @@ pub struct RdPoint {
 }
 
 /// A labelled rate-distortion curve.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RdCurve {
     /// Method label (e.g. "TAC", "3D", "zMesh").
     pub label: String,

@@ -68,7 +68,10 @@ pub(crate) struct LevelMeasurement {
     pub psnr: f64,
     /// Pre-process + compress wall time (read by tests; the figure
     /// harnesses time the planners directly).
-    #[allow(dead_code)]
+    #[cfg_attr(
+        not(test),
+        expect(dead_code, reason = "only the tests read the compress time")
+    )]
     pub compress_s: f64,
 }
 

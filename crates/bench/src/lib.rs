@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # tac-bench
 //!
 //! Benchmark harnesses that regenerate **every table and figure** of the

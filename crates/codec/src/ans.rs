@@ -18,13 +18,19 @@
 //! consumed page must return every state to [`RANS_L`] — a whole-page
 //! integrity check corrupt streams almost always fail.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
+
 use crate::CodecError;
 
 /// log2 of the normalized frequency total.
 pub(crate) const TABLE_BITS: u32 = 11;
 /// Normalized frequency total: every page's bin weights sum to exactly
-/// this. tac-lint R3 cross-checks it against `1 << TABLE_BITS`.
+/// this.
 pub(crate) const TABLE_SIZE: usize = 2048;
+const _: () = assert!(TABLE_SIZE == 1 << TABLE_BITS);
 /// Lower bound of the normalized state interval: decode refills below
 /// it, and a drained stream rests exactly on it.
 pub(crate) const RANS_L: u32 = 1 << 16;
@@ -145,7 +151,12 @@ impl DecodeTable {
 /// keeping every present symbol's weight nonzero. Rounding drift is
 /// pushed onto the heaviest symbols, which distorts their code lengths
 /// least.
-// tac-lint: allow(panic, arith) -- encoder-only: at most TABLE_SIZE symbols with counts bounded by the page length, so the u64 scaling sums cannot overflow and the drift loops index within bounds.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "encoder-only: at most TABLE_SIZE symbols with counts bounded by the page length, so the u64 scaling sums cannot overflow and the drift loops index within bounds."
+)]
 pub(crate) fn normalize_weights(counts: &[u32]) -> Vec<u16> {
     let total: u64 = counts.iter().map(|&c| u64::from(c)).sum();
     debug_assert!(total > 0, "cannot normalize an empty histogram");
@@ -187,7 +198,12 @@ pub(crate) fn normalize_weights(counts: &[u32]) -> Vec<u16> {
 /// Encodes `symbols` against `table`, returning the decoder-ordered
 /// word stream (little-endian `u16`s) and the [`LANES`] seed states
 /// (lane 0 first).
-// tac-lint: allow(panic, arith) -- encoder-only: symbols come from the in-crate bin map (always < syms.len()), the state arithmetic is the bounded rANS step, and the `as u16` word casts truncate intentionally.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "encoder-only: symbols come from the in-crate bin map (always < syms.len()), the state arithmetic is the bounded rANS step, and the `as u16` word casts truncate intentionally."
+)]
 pub(crate) fn encode(table: &AnsTable, symbols: &[u8]) -> (Vec<u8>, [u32; LANES]) {
     let mut words: Vec<u16> = Vec::with_capacity(symbols.len() / 2);
     let mut lanes = [RANS_L; LANES];
@@ -245,6 +261,10 @@ impl<'a> AnsDecoder<'a> {
     /// and the word refill is one 16-bit gather with a predictable
     /// in-bounds branch.
     #[inline(always)]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "need is 0 or 1 and word < 2^16, so both products are exact"
+    )]
     fn step(bytes: &[u8], pos: &mut usize, slots: &[Slot; TABLE_SIZE], x: u32) -> (u32, u8) {
         let e = slots
             .get((x as usize) & (TABLE_SIZE - 1))
@@ -260,7 +280,6 @@ impl<'a> AnsDecoder<'a> {
         };
         let x = (x << (16 * need)) | (word * need);
         *pos = pos.wrapping_add((need as usize) * 2);
-        // tac-lint: allow(arith) -- the sym field occupies bits 24..31 of the packed slot, so the shifted value is at most 7 bits and the cast is value-preserving.
         (x, (e >> 24) as u8)
     }
 

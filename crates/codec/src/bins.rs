@@ -18,6 +18,11 @@
 //! offset width from the serialized class run — weights travel on the
 //! wire, geometry does not.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
+
 use crate::pco::bit_len;
 
 /// Number of bit-length classes (`bit_len` of a `u64` is 0..=64).
@@ -42,6 +47,10 @@ pub(crate) struct BinPlan {
 /// Classes above 64 cannot occur in validated streams; defensively they
 /// map to 0.
 #[inline]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "the subtraction runs only for c != 0"
+)]
 pub(crate) fn class_lower(c: u8) -> u64 {
     if c == 0 {
         0
@@ -72,7 +81,12 @@ pub(crate) fn run_offset_bits(lo: u8, hi: u8) -> u32 {
 /// length. The result is empty only for an all-zero histogram (which
 /// cannot occur — every latent has a class), is ordered by class, and
 /// never exceeds [`CLASSES`] entries.
-// tac-lint: allow(panic, arith) -- encoder-only: at most 65 bins indexed within bounds, counts bounded by the page length, and the cost model runs in f64.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "encoder-only: at most 65 bins indexed within bounds, counts bounded by the page length, and the cost model runs in f64."
+)]
 pub(crate) fn plan_bins(hist: &[u32; CLASSES], total: u32) -> Vec<BinPlan> {
     let mut bins: Vec<BinPlan> = hist
         .iter()
@@ -122,7 +136,11 @@ pub(crate) fn plan_bins(hist: &[u32; CLASSES], total: u32) -> Vec<BinPlan> {
 /// Maps each class to the index of its containing bin. Classes in the
 /// gaps between bins are necessarily empty on the page that produced
 /// the plan; they map to bin 0 as an unused placeholder.
-// tac-lint: allow(panic, arith) -- encoder-only: at most 65 bins, so indices fit u8 and the fixed-size map is indexed by validated classes.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    reason = "encoder-only: at most 65 bins, so indices fit u8 and the fixed-size map is indexed by validated classes."
+)]
 pub(crate) fn class_to_bin(bins: &[BinPlan]) -> [u8; CLASSES] {
     let mut map = [0u8; CLASSES];
     for (i, b) in bins.iter().enumerate() {

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # tac-codec
 //!
 //! The pluggable **scalar-codec backend layer** of the TAC stack. TAC's
@@ -68,6 +66,16 @@
 //! input value `v` and its reconstruction `v'`, `|v - v'| <= abs_eb`;
 //! non-finite values round-trip bit-exactly.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 mod ans;
@@ -78,6 +86,29 @@ mod pco_ans;
 mod sz;
 
 pub use error::CodecError;
+
+/// The 4-byte magic of every registered stream format: SZ (`TSZ1`),
+/// PcoLite (`TPL1`) and PcoAns (`TPA1`). Stream sniffing relies on them
+/// being pairwise distinct, and a container format must not reuse one.
+pub const STREAM_MAGICS: [[u8; 4]; 3] = [tac_sz::MAGIC, pco::MAGIC, pco_ans::MAGIC];
+const _: () = assert!(
+    magic_is_unused(tac_sz::MAGIC, &[pco::MAGIC, pco_ans::MAGIC])
+        && magic_is_unused(pco::MAGIC, &[pco_ans::MAGIC]),
+    "stream magics must be pairwise distinct"
+);
+
+/// Whether `magic` differs from every entry of `magics`; usable in
+/// `const` assertions over wire magics.
+pub const fn magic_is_unused(magic: [u8; 4], magics: &[[u8; 4]]) -> bool {
+    let mut rest = magics;
+    while let [first, tail @ ..] = rest {
+        if u32::from_le_bytes(*first) == u32::from_le_bytes(magic) {
+            return false;
+        }
+        rest = tail;
+    }
+    true
+}
 pub use pco::PcoLite;
 pub use pco_ans::PcoAns;
 pub use sz::SzCodec;
@@ -86,12 +117,10 @@ pub use sz::SzCodec;
 pub use tac_dtype::{Element, TacDtype};
 pub use tac_sz::{Dims, ErrorBound};
 
-use serde::{Deserialize, Serialize};
-
 /// Stable one-byte identifier of a scalar-codec backend — the tag
 /// `tac-core` writes into level payloads and v3 chunk tables. Wire tags
 /// are append-only; renumbering breaks every shipped container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CodecId {
     /// The SZ-style predict–quantize–encode compressor (`tac-sz`). Wire
     /// tag 0; the implicit codec of every pre-codec (v1/v2) container.

@@ -23,13 +23,18 @@
 //! scan. The shape ([`Dims`]) is metadata only — rank does not change
 //! the encoding.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
+
 use crate::{CodecConfig, CodecError, CodecId, ScalarCodec};
 use tac_dtype::{Element, TacDtype};
 use tac_sz::wire::{ByteReader, ByteWriter};
 use tac_sz::{lossless, Dims};
 
 /// Stream magic number ("TAC Pco-Lite v1").
-const MAGIC: [u8; 4] = *b"TPL1";
+pub(crate) const MAGIC: [u8; 4] = *b"TPL1";
 /// Current format version.
 const VERSION: u8 = 1;
 /// Flag bit: body passed through the LZSS stage.
@@ -45,6 +50,10 @@ const PAGE: usize = 1024;
 /// (index u64 + the element's native-width bits: 16 bytes at f64, 12 at
 /// f32 — pages and exceptions both carry the element width). Shared
 /// with `PcoAns`, whose exception table uses the identical layout.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "WIRE_BYTES is 4 or 8, so the sum is tiny"
+)]
 pub(crate) fn exception_bytes<T: Element>() -> usize {
     8 + T::WIRE_BYTES
 }
@@ -57,6 +66,10 @@ pub struct PcoLite;
 
 /// Bits needed to represent `v` (0 for 0).
 #[inline]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "leading_zeros() <= 64, so the difference cannot underflow"
+)]
 pub(crate) fn bit_len(v: u64) -> usize {
     (64 - v.leading_zeros()) as usize
 }
@@ -68,7 +81,7 @@ pub(crate) fn zigzag(d: i64) -> u64 {
 
 #[inline]
 pub(crate) fn unzigzag(z: u64) -> i64 {
-    ((z >> 1) as i64) ^ -((z & 1) as i64)
+    ((z >> 1) as i64) ^ ((z & 1).wrapping_neg() as i64)
 }
 
 /// Quantizes one value, or `None` when it must be stored raw. Returns
@@ -88,6 +101,10 @@ pub(crate) fn quantize<T: Element>(value: T, two_eb: f64, abs_eb: f64) -> Option
     if !t.is_finite() || t.abs() >= (1i64 << 62) as f64 {
         return None;
     }
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "|t| < 2^62 is checked above, so the rounded value fits i64"
+    )]
     let q = t.round() as i64;
     let recon = T::from_f64(q as f64 * two_eb);
     if (v - recon.to_f64()).abs() <= abs_eb {
@@ -115,7 +132,11 @@ impl BitPacker {
     }
 
     #[inline]
-    // tac-lint: allow(arith) -- encoder-side bit packing: width <= 64 fits u32, and the `as u8` casts truncate the accumulator intentionally.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "encoder-side bit packing: width <= 64 fits u32, and the `as u8` casts truncate the accumulator intentionally."
+    )]
     pub(crate) fn push(&mut self, v: u64, width: usize) {
         if width == 0 {
             return;
@@ -129,7 +150,10 @@ impl BitPacker {
         }
     }
 
-    // tac-lint: allow(arith) -- the `as u8` cast truncates the accumulator intentionally.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the `as u8` cast truncates the accumulator intentionally."
+    )]
     pub(crate) fn finish(mut self) -> Vec<u8> {
         if self.nbits > 0 {
             self.buf.push(self.acc as u8);
@@ -157,7 +181,11 @@ impl<'a> BitUnpacker<'a> {
     }
 
     #[inline]
-    // tac-lint: allow(arith) -- pos stays within bytes.len() + 1 via the guarded get, and width <= 64 (validated by the page-header check) fits u32.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "pos stays within bytes.len() + 1 via the guarded get, and width <= 64 (validated by the page-header check) fits u32."
+    )]
     fn read(&mut self, width: usize) -> u64 {
         if width == 0 {
             return 0;
@@ -191,7 +219,11 @@ fn packed_bytes(len: usize, width: usize) -> usize {
 
 /// Picks the page's bit width: minimize packed size plus outlier cost,
 /// preferring the smaller width on ties. Returns `(width, n_outliers)`.
-// tac-lint: allow(panic, arith) -- encoder-only: the arrays are fixed [_; 65] indexed by w <= 64, and n_over <= len <= PAGE keeps the cost sums tiny.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    reason = "encoder-only: the arrays are fixed [_; 65] indexed by w <= 64, and n_over <= len <= PAGE keeps the cost sums tiny."
+)]
 fn choose_width(counts: &[usize; 65], len: usize) -> (usize, usize) {
     // over[w] = number of values needing more than w bits.
     let mut over = [0usize; 65];
@@ -211,7 +243,12 @@ fn choose_width(counts: &[usize; 65], len: usize) -> (usize, usize) {
 }
 
 /// Encodes one page of zigzag values into `out`.
-// tac-lint: allow(panic, arith) -- encoder-only: bit_len(v) <= 64 indexes the fixed [_; 65] array, and width/outlier-count/position all fit their wire types by the PAGE = 1024 bound.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "encoder-only: bit_len(v) <= 64 indexes the fixed [_; 65] array, and width/outlier-count/position all fit their wire types by the PAGE = 1024 bound."
+)]
 fn encode_page(z: &[u64], out: &mut Vec<u8>) {
     let mut counts = [0usize; 65];
     for &v in z {
@@ -280,7 +317,10 @@ fn compress_impl<T: Element>(
     tac_obs::add_bytes(tac_obs::Counter::PcoExceptions, exceptions.len());
 
     // Body: exception table, then the pages back to back.
-    // tac-lint: allow(arith) -- writer-side capacity estimate over in-memory lengths; a wrong guess only costs a reallocation.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "writer-side capacity estimate over in-memory lengths; a wrong guess only costs a reallocation."
+    )]
     let mut body =
         Vec::with_capacity(8 + exceptions.len() * exception_bytes::<T>() + n * 2 / PAGE.max(1) + n);
     body.extend((exceptions.len() as u64).to_le_bytes());
@@ -377,11 +417,8 @@ fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecErro
     if !(1..=4).contains(&rank) {
         return Err(corrupt(format!("invalid rank {rank}")));
     }
-    let mut dim = || -> Result<usize, CodecError> {
-        r.get_u64()
-            .map(|v| v as usize)
-            .map_err(|_| corrupt("header truncated"))
-    };
+    let mut dim =
+        || -> Result<usize, CodecError> { r.get_len().map_err(|_| corrupt("header truncated")) };
     let dims = match rank {
         1 => Dims::D1(dim()?),
         2 => Dims::D2(dim()?, dim()?),
@@ -430,14 +467,14 @@ fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecErro
     }
 
     // Exception table.
-    let n_exc = b.get_u64().map_err(|_| corrupt("body truncated"))? as usize;
+    let n_exc = b.get_len().map_err(|_| corrupt("body truncated"))?;
     if n_exc > n || n_exc.saturating_mul(exception_bytes::<T>()) > b.remaining() {
         return Err(corrupt(format!("{n_exc} exceptions for {n} points")));
     }
     let mut exceptions = Vec::with_capacity(n_exc);
     let mut last_idx: Option<usize> = None;
     for _ in 0..n_exc {
-        let idx = b.get_u64().map_err(|_| corrupt("exception truncated"))? as usize;
+        let idx = b.get_len().map_err(|_| corrupt("exception truncated"))?;
         let chunk = b
             .get_bytes(T::WIRE_BYTES)
             .map_err(|_| corrupt("exception truncated"))?;
@@ -453,9 +490,8 @@ fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecErro
     let pack_span = tac_obs::span(tac_obs::Stage::Pack);
     let mut recon = Vec::with_capacity(n);
     let mut prev = 0i64;
-    let mut done = 0usize;
-    while done < n {
-        let page_len = PAGE.min(n - done);
+    for page_start in (0..n).step_by(PAGE) {
+        let page_len = PAGE.min(n.saturating_sub(page_start));
         let width = b.get_u8().map_err(|_| corrupt("page header truncated"))? as usize;
         if width > 64 {
             return Err(corrupt(format!("page bit width {width}")));
@@ -493,7 +529,6 @@ fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecErro
             prev = prev.wrapping_add(unzigzag(zv));
             recon.push(T::from_f64(prev as f64 * two_eb));
         }
-        done += page_len;
     }
     drop(pack_span);
     if b.remaining() != 0 {
@@ -679,6 +714,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "the test only asserts that decoding returns instead of panicking"
+    )]
     fn corrupt_streams_error_never_panic() {
         let data: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.01).sin()).collect();
         let cfg = CodecConfig::abs(1e-4);
@@ -770,6 +809,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "the test only asserts that decoding returns instead of panicking"
+    )]
     fn f32_corrupt_streams_error_never_panic() {
         let data: Vec<f32> = (0..1000).map(|i| (i as f32 * 0.01).sin()).collect();
         let cfg = CodecConfig::abs(1e-4);

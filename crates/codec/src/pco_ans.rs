@@ -26,6 +26,11 @@
 //! entropy coding the LZSS pass recovered now happens in the rANS
 //! stage at a fraction of the cost.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
+
 use crate::ans::{self, AnsDecoder, AnsTable, DecodeTable, LANES, RANS_L};
 use crate::bins::{self, CLASSES};
 use crate::pco::{bit_len, exception_bytes, quantize, unzigzag, zigzag, BitPacker};
@@ -65,7 +70,13 @@ fn corrupt(msg: impl Into<String>) -> CodecError {
 }
 
 /// Encodes one page of zigzag latents into `out`.
-// tac-lint: allow(panic, arith) -- encoder-only: bins and tokens index fixed 65-entry in-memory tables, counts are bounded by PAGE = 4096, and every size fits its wire type by construction.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "encoder-only: bins and tokens index fixed 65-entry in-memory tables, counts are bounded by PAGE, and every size fits its wire type by construction."
+)]
 fn encode_page(z: &[u64], out: &mut Vec<u8>) {
     let table_span = tac_obs::span(tac_obs::Stage::AnsTable);
     let mut hist = [0u32; CLASSES];
@@ -153,7 +164,10 @@ fn compress_impl<T: Element>(
     }
     tac_obs::add_bytes(tac_obs::Counter::PcoExceptions, exceptions.len());
 
-    // tac-lint: allow(arith) -- writer-side capacity estimate over in-memory lengths; a wrong guess only costs a reallocation.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "writer-side capacity estimate over in-memory lengths; a wrong guess only costs a reallocation."
+    )]
     let mut body = Vec::with_capacity(8 + exceptions.len() * exception_bytes::<T>() + n);
     body.extend((exceptions.len() as u64).to_le_bytes());
     for &(idx, v) in &exceptions {
@@ -218,6 +232,10 @@ fn offset_mask(width: u32) -> u64 {
 /// zero bits; the page-level offset-byte check rejects streams that
 /// actually ran short. `mask` must be `offset_mask(width)`.
 #[inline(always)]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "shift = bitpos & 7 <= 7, so 63 - shift cannot underflow"
+)]
 fn read_bits(bytes: &[u8], bitpos: usize, width: u32, mask: u64) -> u64 {
     let at = bitpos >> 3;
     let shift = bitpos & 7;
@@ -423,11 +441,8 @@ fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecErro
     if !(1..=4).contains(&rank) {
         return Err(corrupt(format!("invalid rank {rank}")));
     }
-    let mut dim = || -> Result<usize, CodecError> {
-        r.get_u64()
-            .map(|v| v as usize)
-            .map_err(|_| corrupt("header truncated"))
-    };
+    let mut dim =
+        || -> Result<usize, CodecError> { r.get_len().map_err(|_| corrupt("header truncated")) };
     let dims = match rank {
         1 => Dims::D1(dim()?),
         2 => Dims::D2(dim()?, dim()?),
@@ -467,14 +482,14 @@ fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecErro
     }
 
     // Exception table (identical layout to PcoLite).
-    let n_exc = b.get_u64().map_err(|_| corrupt("body truncated"))? as usize;
+    let n_exc = b.get_len().map_err(|_| corrupt("body truncated"))?;
     if n_exc > n || n_exc.saturating_mul(exception_bytes::<T>()) > b.remaining() {
         return Err(corrupt(format!("{n_exc} exceptions for {n} points")));
     }
     let mut exceptions = Vec::with_capacity(n_exc);
     let mut last_idx: Option<usize> = None;
     for _ in 0..n_exc {
-        let idx = b.get_u64().map_err(|_| corrupt("exception truncated"))? as usize;
+        let idx = b.get_len().map_err(|_| corrupt("exception truncated"))?;
         let chunk = b
             .get_bytes(T::WIRE_BYTES)
             .map_err(|_| corrupt("exception truncated"))?;
@@ -688,6 +703,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "the test only asserts that decoding returns instead of panicking"
+    )]
     fn corrupt_streams_error_never_panic() {
         let data: Vec<f64> = (0..5000).map(|i| (i as f64 * 0.01).sin()).collect();
         let cfg = CodecConfig::abs(1e-4);
@@ -790,6 +809,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "the test only asserts that decoding returns instead of panicking"
+    )]
     fn f32_corrupt_streams_error_never_panic() {
         let data: Vec<f32> = (0..1000).map(|i| (i as f32 * 0.01).sin()).collect();
         let cfg = CodecConfig::abs(1e-4);

@@ -89,7 +89,7 @@ impl ScalarCodec for SzCodec {
     }
 
     fn magic(&self) -> &'static [u8] {
-        tac_sz::stream_magic()
+        &tac_sz::MAGIC
     }
 
     fn looks_like(&self, bytes: &[u8]) -> bool {

@@ -56,6 +56,10 @@ struct OccupancySat {
 }
 
 impl OccupancySat {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "x, y, z < nb, so every corner index is inside the (nb + 1)^3 table"
+    )]
     fn build(grid: &BlockGrid) -> Self {
         let nb = grid.blocks_per_side();
         let n1 = nb + 1;
@@ -82,6 +86,10 @@ impl OccupancySat {
     }
 
     /// Non-empty blocks in `[x0,x1) x [y0,y1) x [z0,z1)`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers query sub-boxes of the nb^3 grid, so every corner is inside the (nb + 1)^3 table"
+    )]
     fn count(
         &self,
         (x0, y0, z0): (usize, usize, usize),
@@ -144,24 +152,21 @@ fn split(
     let max_dim = s.0.max(s.1).max(s.2);
     let mut best_axis = usize::MAX;
     let mut best_diff = -1i64;
-    for axis in 0..3 {
-        let len = [s.0, s.1, s.2][axis];
+    for (axis, len) in [s.0, s.1, s.2].into_iter().enumerate() {
         if len != max_dim || len < 2 {
             continue;
         }
-        let (c1, _c2, diff) = halves_count(sat, o, s, axis);
-        let total = count as i64;
+        let (_, _, diff) = halves_count(sat, o, s, axis);
         let d = diff.abs();
-        let _ = c1;
         if d > best_diff {
             best_diff = d;
             best_axis = axis;
         }
-        let _ = total;
     }
     debug_assert_ne!(best_axis, usize::MAX, "non-leaf node must be splittable");
     let axis = best_axis;
-    let half = [s.0, s.1, s.2][axis] / 2;
+    // The chosen axis is one of the longest.
+    let half = max_dim / 2;
     let mut s1 = s;
     let mut o2 = o;
     let mut s2 = s;
@@ -194,7 +199,11 @@ fn halves_count(
     s: (usize, usize, usize),
     axis: usize,
 ) -> (u64, u64, i64) {
-    let half = [s.0, s.1, s.2][axis] / 2;
+    let half = match axis {
+        0 => s.0,
+        1 => s.1,
+        _ => s.2,
+    } / 2;
     let mut mid_hi = (o.0 + s.0, o.1 + s.1, o.2 + s.2);
     match axis {
         0 => mid_hi.0 = o.0 + half,

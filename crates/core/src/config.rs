@@ -2,14 +2,13 @@
 //! (including per-level adaptive bounds), and method selection.
 
 use crate::error::TacError;
-use serde::{Deserialize, Serialize};
 use tac_codec::{CodecConfig, CodecId};
 use tac_par::Parallelism;
 use tac_sz::ErrorBound;
 
 /// The pre-process strategy applied to one AMR level before 3D
 /// compression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// Level has no present cells; nothing is stored.
     Empty,
@@ -57,7 +56,7 @@ impl Strategy {
 
 /// Tuning knobs of the adaptive `Method::Auto` selection pass (the
 /// TAC+-style per-level method+codec chooser in [`crate::select`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoParams {
     /// Datasets with at most this many present values are selected by
     /// **exhaustive trial compression**: every `(method, codec)`
@@ -86,7 +85,7 @@ impl Default for AutoParams {
 }
 
 /// Full TAC configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TacConfig {
     /// Unit block side length (the paper uses 16 for 512^3 levels; scaled
     /// runs use 8). Must divide every level dimension.

@@ -34,25 +34,34 @@
 //! codec layer existed parse unchanged and default to [`CodecId::Sz`]
 //! and [`TacDtype::F64`].
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
+
 use crate::config::Strategy;
 use crate::error::TacError;
 use crate::stream::{CompressedLevel, LevelPayload, Reader, Writer};
-use serde::{Deserialize, Serialize};
 use tac_amr::{Aabb, BitMask};
 use tac_codec::{sniff_codec, CodecId};
 use tac_dtype::TacDtype;
 use tac_sz::CompressionStats;
 
-/// Container magic number.
-const MAGIC: &[u8; 4] = b"TACD";
+/// Container magic number: the first four bytes of every container.
+pub const MAGIC: &[u8; 4] = b"TACD";
+// A container must never sniff as a bare codec stream.
+const _: () = assert!(tac_codec::magic_is_unused(
+    *MAGIC,
+    &tac_codec::STREAM_MAGICS
+));
 /// Original monolithic container format.
-const VERSION_V1: u8 = 1;
+pub const VERSION_V1: u8 = 1;
 /// Chunked random-access container format.
-const VERSION_V2: u8 = 2;
+pub const VERSION_V2: u8 = 2;
 /// Chunked format with per-level and per-chunk codec tags.
-const VERSION_V3: u8 = 3;
+pub const VERSION_V3: u8 = 3;
 /// Chunked format with a dataset dtype byte and per-chunk dtype tags.
-pub(crate) const VERSION_V4: u8 = 4;
+pub const VERSION_V4: u8 = 4;
 /// Serialized chunk-table row size in a v2 container: level `u8` +
 /// offset `u64` + len `u64` + bbox `6 x u32`. The writer
 /// ([`ChunkEntry::write`]), the reader ([`ChunkEntry::read`]), the
@@ -65,6 +74,14 @@ pub const CHUNK_ROW_BYTES_V3: usize = 42;
 /// Serialized chunk-table row size in a v4 container: the v3 row plus
 /// one element-type ([`TacDtype`]) byte.
 pub const CHUNK_ROW_BYTES_V4: usize = 43;
+const _: () = assert!(
+    CHUNK_ROW_BYTES_V3 == CHUNK_ROW_BYTES_V2 + 1,
+    "a v3 row is a v2 row plus one codec byte"
+);
+const _: () = assert!(
+    CHUNK_ROW_BYTES_V4 == CHUNK_ROW_BYTES_V3 + 1,
+    "a v4 row is a v3 row plus one dtype byte"
+);
 /// Size of the chunk table's `u32` row-count prefix.
 pub const CHUNK_COUNT_PREFIX_BYTES: usize = 4;
 /// Size of the trailing `u64` table-offset footer a v2/v3 container
@@ -77,7 +94,7 @@ pub const TABLE_FOOTER_BYTES: usize = 8;
 pub(crate) const MAX_FINEST_DIM: usize = 1 << 13;
 
 /// Which compressor produced a container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// Level-wise 3D compression with per-level pre-processing (the
     /// paper's contribution).
@@ -246,7 +263,10 @@ impl CompressedDataset {
 
     /// Bytes of the compressed field payload — the size the paper's
     /// compression ratios count.
-    // tac-lint: allow(arith) -- size accounting over in-memory streams already held in RAM; the sums cannot exceed what was allocated.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "size accounting over in-memory streams already held in RAM; the sums cannot exceed what was allocated."
+    )]
     pub fn payload_bytes(&self) -> usize {
         match &self.body {
             MethodBody::Tac(levels) => levels.iter().map(|l| l.total_bytes()).sum(),
@@ -299,7 +319,10 @@ impl CompressedDataset {
     /// still fit: TAC level payloads carry an explicit codec tag, the 1D
     /// baseline uses an extended level tag, and the single-stream
     /// baselines are recovered by magic-number sniffing on read.
-    // tac-lint: allow(arith) -- writer-side width reduction: the engine caps levels at 16, so `masks.len() as u8` cannot truncate.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "writer-side width reduction: the engine caps levels at 16, so `masks.len() as u8` cannot truncate."
+    )]
     pub fn to_bytes_v1(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_bytes(MAGIC);
@@ -351,7 +374,11 @@ impl CompressedDataset {
     /// chunk-table row; v4 adds a dataset dtype byte after the method
     /// tag and one per chunk-table row; v2 is byte-for-byte the
     /// pre-codec format.
-    // tac-lint: allow(arith) -- writer-side width reduction: level, mask, and group counts come from validated in-memory datasets (<= 16 levels, group counts bounded by the grid volume).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "writer-side width reduction: level, mask, and group counts come from validated in-memory datasets (<= 16 levels, group counts bounded by the grid volume)."
+    )]
     fn to_bytes_chunked(&self, version: u8) -> Vec<u8> {
         let tagged = version >= VERSION_V3;
         debug_assert!(
@@ -558,7 +585,7 @@ fn parse_prelude(r: &mut Reader<'_>) -> Result<Prelude, TacError> {
         TacDtype::F64
     };
     let name = r.get_str()?;
-    let finest_dim = r.get_u64()? as usize;
+    let finest_dim = r.get_len()?;
     // A crafted dimension must fail cleanly before any `dim^3` products:
     // unchecked, the multiplication overflows (a panic under debug
     // assertions) and the implied allocations are absurd anyway.
@@ -580,11 +607,15 @@ fn parse_prelude(r: &mut Reader<'_>) -> Result<Prelude, TacError> {
         let mask = BitMask::from_bytes(&raw)
             .ok_or_else(|| TacError::Corrupt(format!("level {l} mask malformed")))?;
         let dim = finest_dim >> l;
-        if mask.len() != dim * dim * dim {
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "finest_dim <= MAX_FINEST_DIM (2^13) is checked above, so dim^3 <= 2^39"
+        )]
+        let cells = dim * dim * dim;
+        if mask.len() != cells {
             return Err(TacError::Corrupt(format!(
-                "level {l} mask has {} bits, expected {}",
+                "level {l} mask has {} bits, expected {cells}",
                 mask.len(),
-                dim * dim * dim
             )));
         }
         masks.push(mask);
@@ -728,7 +759,10 @@ pub(crate) fn chunk_entry_bytes(version: u8) -> usize {
 }
 
 impl ChunkEntry {
-    // tac-lint: allow(arith) -- writer-side width reduction: bbox coordinates are cell indices bounded by MAX_FINEST_DIM (2^13), far below u32::MAX.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "writer-side width reduction: bbox coordinates are cell indices bounded by MAX_FINEST_DIM (2^13), far below u32::MAX."
+    )]
     fn write(&self, w: &mut Writer, version: u8) {
         w.put_u8(self.level);
         w.put_u64(self.offset as u64);
@@ -748,8 +782,8 @@ impl ChunkEntry {
 
     fn read(r: &mut Reader<'_>, version: u8) -> Result<Self, TacError> {
         let level = r.get_u8()?;
-        let offset = r.get_u64()? as usize;
-        let len = r.get_u64()? as usize;
+        let offset = r.get_len()?;
+        let len = r.get_len()?;
         let codec = if version >= VERSION_V3 {
             CodecId::from_tag(r.get_u8()?).map_err(TacError::Codec)?
         } else {
@@ -875,7 +909,7 @@ fn parse_chunked_tail<'a>(r: &mut Reader<'a>, prelude: Prelude) -> Result<V2Layo
             let mut metas = Vec::with_capacity(num_levels);
             for _ in 0..num_levels {
                 let strategy = Strategy::from_tag(r.get_u8()?)?;
-                let dim = r.get_u64()? as usize;
+                let dim = r.get_len()?;
                 if dim == 0 || dim > MAX_FINEST_DIM {
                     return Err(TacError::Corrupt(format!(
                         "level dim {dim} outside the supported 1..={MAX_FINEST_DIM}"
@@ -939,7 +973,7 @@ fn parse_chunked_tail<'a>(r: &mut Reader<'a>, prelude: Prelude) -> Result<V2Layo
     // fixed-size: level u8 + offset/len u64 + codec byte on v3 + bbox
     // 6 x u32).
     let entry_bytes = chunk_entry_bytes(version);
-    if num_chunks > r.remaining() / entry_bytes {
+    if num_chunks.saturating_mul(entry_bytes) > r.remaining() {
         return Err(TacError::Corrupt(format!(
             "table declares {num_chunks} chunks but only {} bytes remain",
             r.remaining()
@@ -970,7 +1004,7 @@ fn parse_chunked_tail<'a>(r: &mut Reader<'a>, prelude: Prelude) -> Result<V2Layo
         }
         entries.push(e);
     }
-    let stored_table_pos = r.get_u64()? as usize;
+    let stored_table_pos = r.get_len()?;
     if stored_table_pos != table_pos {
         return Err(TacError::Corrupt(format!(
             "table offset footer {stored_table_pos} does not match table at {table_pos}"
@@ -1016,16 +1050,13 @@ impl V2Layout<'_> {
             }
         }
         let check = |level: usize, want: usize, codec: CodecId| -> Result<(), TacError> {
-            let mut have = 0usize;
-            for e in self.level_entries(level) {
-                have += 1;
-                if e.codec != codec {
-                    return Err(TacError::Corrupt(format!(
-                        "level {level}: chunk tagged {} but metadata says {}",
-                        e.codec, codec
-                    )));
-                }
+            if let Some(e) = self.level_entries(level).find(|e| e.codec != codec) {
+                return Err(TacError::Corrupt(format!(
+                    "level {level}: chunk tagged {} but metadata says {}",
+                    e.codec, codec
+                )));
             }
+            let have = self.level_entries(level).count();
             if have != want {
                 return Err(TacError::Corrupt(format!(
                     "level {level}: expected {want} chunks, table lists {have}"

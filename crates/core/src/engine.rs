@@ -236,6 +236,12 @@ pub(crate) fn compress_plans<T: CodecElement>(
     let mut out = Vec::with_capacity(plans.len());
     let mut next = results.into_iter();
     for plan in plans {
+        #[expect(
+            clippy::expect_used,
+            clippy::unreachable,
+            reason = "tasks are generated level-major from these plans, one per whole grid or group, \
+                      so the results arrive in plan order with the matching TaskOut variant"
+        )]
         let payload = match &plan.work {
             LevelWork::Empty => LevelPayload::Empty,
             LevelWork::Whole(_) => match next.next().expect("missing whole-grid result")? {
@@ -385,32 +391,28 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
     );
     drop(exec_span);
 
-    // Assemble: paste decoded buffers level by level, then mask.
+    // Assemble: paste decoded buffers level by level, then mask. Tasks
+    // are generated level-major, so each level's results are contiguous.
     let _assemble = tac_obs::span(tac_obs::Stage::Assemble);
-    let mut grids: Vec<Vec<T>> = compressed
-        .iter()
-        .map(|cl| vec![T::ZERO; cl.dim * cl.dim * cl.dim])
-        .collect();
-    for (task, result) in tasks.iter().zip(results) {
-        let values = result?;
-        match &task.kind {
-            DecompressKind::Whole(_) => grids[task.level] = values,
-            DecompressKind::Group(g) => paste_group(&mut grids[task.level], task.dim, g, &values)?,
-        }
-    }
-    Ok(compressed
-        .iter()
-        .zip(grids)
-        .zip(masks)
-        .map(|((cl, mut data), mask)| {
-            for (i, v) in data.iter_mut().enumerate() {
-                if !mask.get(i) {
-                    *v = T::ZERO;
-                }
+    let mut decoded = tasks.iter().zip(results).peekable();
+    let mut levels = Vec::with_capacity(compressed.len());
+    for (l, (cl, mask)) in compressed.iter().zip(masks).enumerate() {
+        let mut data = vec![T::ZERO; cl.dim * cl.dim * cl.dim];
+        while let Some((task, result)) = decoded.next_if(|(t, _)| t.level == l) {
+            let values = result?;
+            match &task.kind {
+                DecompressKind::Whole(_) => data = values,
+                DecompressKind::Group(g) => paste_group(&mut data, task.dim, g, &values)?,
             }
-            AmrLevel::new(cl.dim, data, mask.clone())
-        })
-        .collect())
+        }
+        for (i, v) in data.iter_mut().enumerate() {
+            if !mask.get(i) {
+                *v = T::ZERO;
+            }
+        }
+        levels.push(AmrLevel::new(cl.dim, data, mask.clone()));
+    }
+    Ok(levels)
 }
 
 #[cfg(test)]

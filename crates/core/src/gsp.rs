@@ -25,6 +25,10 @@ use tac_dtype::Element;
 /// precision (exact for `f32` inputs) and the pad value narrows back to
 /// `T` once per block. The `f64` monomorphization is bit-identical to
 /// the historical implementation.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every block of the level's grid lies inside the dim^3 output"
+)]
 pub fn pad_ghost_shell<T: Element>(level: &AmrLevel<T>, grid: &BlockGrid) -> (Vec<T>, usize) {
     let dim = level.dim();
     let unit = grid.unit();

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # tac-core
 //!
 //! **TAC** — error-bounded lossy compression optimized for 3D AMR data
@@ -50,6 +48,16 @@
 //! }
 //! ```
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 mod akdtree;
@@ -72,7 +80,8 @@ pub use akdtree::{plan_akdtree, AkdPlan};
 pub use config::{AutoParams, Strategy, TacConfig};
 pub use container::{
     Baseline1DLevel, CompressedDataset, Method, MethodBody, CHUNK_COUNT_PREFIX_BYTES,
-    CHUNK_ROW_BYTES_V2, CHUNK_ROW_BYTES_V3, CHUNK_ROW_BYTES_V4, TABLE_FOOTER_BYTES,
+    CHUNK_ROW_BYTES_V2, CHUNK_ROW_BYTES_V3, CHUNK_ROW_BYTES_V4, MAGIC, TABLE_FOOTER_BYTES,
+    VERSION_V1, VERSION_V2, VERSION_V3, VERSION_V4,
 };
 pub use density::choose_strategy;
 pub use error::TacError;

@@ -61,6 +61,10 @@ pub fn plan_opst(grid: &BlockGrid) -> OpstPlan {
 
 /// OpST planner over a raw occupancy grid (exposed for tests and the
 /// ablation benchmarks).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "occ.len() == nb^3 is asserted above and every DP index is an in-grid block coordinate"
+)]
 pub fn plan_opst_from_occupancy(occ: &[bool], nb: usize) -> OpstPlan {
     assert_eq!(occ.len(), nb * nb * nb);
     let mut occ = occ.to_vec();
@@ -126,6 +130,10 @@ fn idx(nb: usize, x: usize, y: usize, z: usize) -> usize {
 }
 
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "callers pass in-grid block coordinates of the nb^3 occ/bs grids, and the -1 offsets apply only when x, y, z >= 1"
+)]
 fn bs_value(occ: &[bool], bs: &[u32], nb: usize, x: usize, y: usize, z: usize) -> u32 {
     if !occ[idx(nb, x, y, z)] {
         return 0;

@@ -123,7 +123,12 @@ pub fn compress_level_t<T: CodecElement>(
     let plans = vec![engine::plan_level(level, strategy, abs_eb, cfg)?];
     let mut levels =
         engine::compress_plans(&plans, &[level.data()], cfg, cfg.parallelism.workers())?;
-    Ok(levels.pop().expect("one planned level"))
+    #[expect(
+        clippy::expect_used,
+        reason = "compress_plans returns one level per plan, and there is one plan"
+    )]
+    let level = levels.pop().expect("one planned level");
+    Ok(level)
 }
 
 /// Decompresses a level payload and applies the occupancy mask: absent
@@ -533,7 +538,9 @@ pub fn decompress_dataset_par_t<T: CodecElement>(
                             )));
                         }
                         for (slot, v) in mask.iter_ones().zip(values) {
-                            data[slot] = v;
+                            if let Some(d) = data.get_mut(slot) {
+                                *d = v;
+                            }
                         }
                     } else if mask.count_ones() != 0 {
                         return Err(TacError::Corrupt(format!(
@@ -604,7 +611,10 @@ pub fn decompress_dataset_par_t<T: CodecElement>(
                         let z = idx / (dim * dim);
                         // Sample the first covered fine position (exact
                         // inverse of piecewise-constant up-sampling).
-                        data[idx] = uniform[x * scale + n * (y * scale + n * (z * scale))];
+                        let src = x * scale + n * (y * scale + n * (z * scale));
+                        if let (Some(d), Some(&u)) = (data.get_mut(idx), uniform.get(src)) {
+                            *d = u;
+                        }
                     }
                     AmrLevel::new(dim, data, mask.clone())
                 })

@@ -30,6 +30,11 @@
 //! container already carries; **decode needs no new wire format** and
 //! [`Method::Auto`] itself never serializes.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
+
 use crate::config::TacConfig;
 use crate::container::{CompressedDataset, Method, MethodBody};
 use crate::error::TacError;
@@ -300,6 +305,10 @@ fn trial<T: CodecElement>(
 
 /// Sampled regime: extrapolate every candidate's payload from bounded
 /// trial encodes over contiguous windows of its own traversal order.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "byte estimates are non-negative f64 values, and float-to-int as saturates"
+)]
 fn select_sampled<T: CodecElement>(
     ds: &AmrDataset<T>,
     cfg: &TacConfig,
@@ -340,6 +349,10 @@ fn select_sampled<T: CodecElement>(
                 break;
             }
         };
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a share of the sample budget is non-negative and at most the budget, and float-to-int as saturates"
+        )]
         let share = ((budget as f64) * (present as f64) / (present_total as f64)).ceil() as usize;
         let take = share.max(MIN_WINDOW).min(present);
         let data = level.data();
@@ -495,6 +508,10 @@ fn select_sampled<T: CodecElement>(
                 // uniform grid it would store — which is what correctly
                 // penalizes it on sparse data.
                 let fd = ds.finest_dim();
+                #[expect(
+                    clippy::arithmetic_side_effects,
+                    reason = "the finest level already holds fd^3 cells in memory"
+                )]
                 let uniform_cells = (fd * fd) * fd;
                 for codec in CodecId::all() {
                     let Some((raw, worst)) = trial(codec, &zwindow, abs_eb, cfg) else {
@@ -542,6 +559,10 @@ fn finish(
 ) -> Result<AutoSelection, TacError> {
     match winner {
         Some(w) => {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the winning score is a non-negative byte estimate, and float-to-int as saturates"
+            )]
             tac_obs::add(tac_obs::Counter::SelectWinnerBytes, w.score as u64);
             Ok(AutoSelection {
                 method: w.method,

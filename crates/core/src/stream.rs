@@ -1,6 +1,11 @@
 //! Wire-format primitives and the per-level compressed payload types
 //! shared by all strategies.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
+
 use crate::config::Strategy;
 use crate::error::TacError;
 use tac_codec::CodecId;
@@ -26,7 +31,10 @@ pub struct BlockGroup {
 }
 
 impl BlockGroup {
-    // tac-lint: allow(arith) -- writer-side width reduction: shapes and origin counts are cell quantities bounded by the validated grid dimension (<= 2^13).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "writer-side width reduction: shapes and origin counts are cell quantities bounded by the validated grid dimension (<= 2^13)."
+    )]
     pub(crate) fn write(&self, w: &mut Writer) {
         w.put_u32(self.shape.0 as u32);
         w.put_u32(self.shape.1 as u32);
@@ -69,7 +77,10 @@ impl BlockGroup {
 
     /// Serialized metadata size (everything except the SZ stream) — the
     /// "metadata overhead" the paper quantifies at ~0.1%.
-    // tac-lint: allow(arith) -- size accounting over an in-memory group; the origin list already fits in RAM, so 12 bytes per entry cannot overflow usize.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "size accounting over an in-memory group; the origin list already fits in RAM, so 12 bytes per entry cannot overflow usize."
+    )]
     pub fn metadata_bytes(&self) -> usize {
         16 + self.origins.len() * 12 + 8
     }
@@ -87,7 +98,10 @@ impl BlockGroup {
     }
 
     /// Total serialized size.
-    // tac-lint: allow(arith) -- size accounting over buffers already held in RAM.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "size accounting over buffers already held in RAM."
+    )]
     pub fn total_bytes(&self) -> usize {
         self.metadata_bytes() + self.stream.len()
     }
@@ -140,9 +154,33 @@ const TAG_GROUPS_TAGGED: u8 = 4;
 const TAG_EMPTY_F32: u8 = 5;
 const TAG_WHOLE_F32: u8 = 6;
 const TAG_GROUPS_F32: u8 = 7;
+const _: () = {
+    let mut rest: &[u8] = &[
+        TAG_EMPTY,
+        TAG_WHOLE_SZ,
+        TAG_GROUPS_SZ,
+        TAG_WHOLE_TAGGED,
+        TAG_GROUPS_TAGGED,
+        TAG_EMPTY_F32,
+        TAG_WHOLE_F32,
+        TAG_GROUPS_F32,
+    ];
+    let mut seen = 0u64;
+    while let [tag, tail @ ..] = rest {
+        assert!(
+            *tag < 64 && seen & (1 << *tag) == 0,
+            "payload tags must be distinct"
+        );
+        seen |= 1 << *tag;
+        rest = tail;
+    }
+};
 
 impl CompressedLevel {
-    // tac-lint: allow(arith) -- writer-side width reduction: group counts come from the in-memory plan and are bounded by the grid volume.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "writer-side width reduction: group counts come from the in-memory plan and are bounded by the grid volume."
+    )]
     pub(crate) fn write(&self, w: &mut Writer) {
         w.put_u8(self.strategy.tag());
         w.put_u64(self.dim as u64);
@@ -195,7 +233,7 @@ impl CompressedLevel {
 
     pub(crate) fn read(r: &mut Reader<'_>) -> Result<Self, TacError> {
         let strategy = Strategy::from_tag(r.get_u8()?)?;
-        let dim = r.get_u64()? as usize;
+        let dim = r.get_len()?;
         // Bound the dimension here so every downstream `dim^3` (mask
         // checks, reconstruction buffers) stays overflow-free.
         if dim == 0 || dim > crate::container::MAX_FINEST_DIM {
@@ -245,7 +283,10 @@ impl CompressedLevel {
     }
 
     /// Serialized size in bytes.
-    // tac-lint: allow(arith) -- size accounting over buffers already held in RAM.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "size accounting over buffers already held in RAM."
+    )]
     pub fn total_bytes(&self) -> usize {
         let codec_byte = match &self.payload {
             LevelPayload::Empty => 0,

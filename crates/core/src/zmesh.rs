@@ -83,7 +83,7 @@ fn visit(
 ) {
     let dim = finest_dim >> l;
     let idx = x + dim * (y + dim * z);
-    if masks[l].get(idx) {
+    if masks.get(l).is_some_and(|m| m.get(idx)) {
         out.push((l, idx));
         return;
     }
@@ -108,6 +108,10 @@ fn visit(
 }
 
 /// Gathers level data values into a 1D array following `order`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "order comes from zmesh_order over the masks of these levels, so every (level, cell) is in range"
+)]
 pub fn gather<T: Element>(order: &[ZmeshEntry], level_data: &[&[T]]) -> Vec<T> {
     order.iter().map(|&(l, idx)| level_data[l][idx]).collect()
 }
@@ -117,7 +121,9 @@ pub fn gather<T: Element>(order: &[ZmeshEntry], level_data: &[&[T]]) -> Vec<T> {
 pub fn scatter<T: Element>(order: &[ZmeshEntry], values: &[T], level_data: &mut [Vec<T>]) {
     assert_eq!(order.len(), values.len(), "order/value length mismatch");
     for (&(l, idx), &v) in order.iter().zip(values) {
-        level_data[l][idx] = v;
+        if let Some(slot) = level_data.get_mut(l).and_then(|d| d.get_mut(idx)) {
+            *slot = v;
+        }
     }
 }
 

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # tac-dtype
 //!
 //! The element-type abstraction the whole TAC stack is generic over.

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # tac-fft
 //!
 //! A small, dependency-light FFT library used by the TAC reproduction for

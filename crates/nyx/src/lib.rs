@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # tac-nyx
 //!
 //! Synthetic **Nyx-like cosmology AMR datasets**. The paper evaluates TAC

@@ -3,7 +3,10 @@
 //! or Perfetto) and a compact per-stage text/JSON report in the
 //! `EXPERIMENTS.md` table style.
 
-use std::fmt::Write as _;
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
 
 use crate::snapshot::{HistSnapshot, Snapshot};
 use crate::{Counter, Stage};
@@ -27,15 +30,14 @@ pub fn chrome_trace_json(snap: &Snapshot) -> String {
             out.push(',');
         }
         first = false;
-        let _ = write!(
-            out,
+        out.push_str(&format!(
             "\n{{\"name\":\"{}\",\"cat\":\"tac\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
              \"ts\":{:.3},\"dur\":{:.3}",
             ev.stage.name(),
             ev.tid,
             ns_to_us(ev.start_ns),
             ns_to_us(ev.dur_ns),
-        );
+        ));
         if !ev.args.is_empty() {
             out.push_str(",\"args\":{");
             let mut first_arg = true;
@@ -44,7 +46,7 @@ pub fn chrome_trace_json(snap: &Snapshot) -> String {
                     out.push(',');
                 }
                 first_arg = false;
-                let _ = write!(out, "\"{key}\":{value}");
+                out.push_str(&format!("\"{key}\":{value}"));
             }
             out.push('}');
         }
@@ -170,35 +172,32 @@ impl StageReport {
     /// histograms.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<12} {:>8} {:>12} {:>12} {:>8}",
+        out.push_str(&format!(
+            "{:<12} {:>8} {:>12} {:>12} {:>8}\n",
             "stage", "spans", "total ms", "self ms", "self %"
-        );
+        ));
         for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{:<12} {:>8} {:>12.3} {:>12.3} {:>7.1}%",
+            out.push_str(&format!(
+                "{:<12} {:>8} {:>12.3} {:>12.3} {:>7.1}%\n",
                 row.stage.name(),
                 row.spans,
                 ns_to_ms(row.total_ns),
                 ns_to_ms(row.self_ns),
                 self.fraction(row) * 100.0,
-            );
+            ));
         }
-        let _ = writeln!(
-            out,
-            "{:<12} {:>8} {:>12} {:>12.3} {:>7.1}%",
+        out.push_str(&format!(
+            "{:<12} {:>8} {:>12} {:>12.3} {:>7.1}%\n",
             "(wall)",
             "",
             "",
             ns_to_ms(self.wall_ns),
             100.0
-        );
+        ));
         if !self.counters.is_empty() {
-            let _ = writeln!(out, "counters:");
+            out.push_str("counters:\n");
             for (c, v) in &self.counters {
-                let _ = writeln!(out, "  {:<22} {v}", c.name());
+                out.push_str(&format!("  {:<22} {v}\n", c.name()));
             }
         }
         for h in &self.hists {
@@ -211,14 +210,13 @@ impl StageReport {
                 .map(|(v, _)| v)
                 .next_back()
                 .unwrap_or(0);
-            let _ = writeln!(
-                out,
-                "hist {}: {} observations, mean {:.2}, max {}",
+            out.push_str(&format!(
+                "hist {}: {} observations, mean {:.2}, max {}\n",
                 h.kind.name(),
                 h.total(),
                 mean,
                 hi
-            );
+            ));
         }
         out
     }
@@ -227,9 +225,13 @@ impl StageReport {
     /// fraction per stage plus the wall-clock the fractions refer to.
     pub fn stages_json(&self) -> String {
         let mut out = String::new();
-        let _ = write!(out, "{{\"wall_ms\": {:.3}", ns_to_ms(self.wall_ns));
+        out.push_str(&format!("{{\"wall_ms\": {:.3}", ns_to_ms(self.wall_ns)));
         for row in &self.rows {
-            let _ = write!(out, ", \"{}\": {:.4}", row.stage.name(), self.fraction(row));
+            out.push_str(&format!(
+                ", \"{}\": {:.4}",
+                row.stage.name(),
+                self.fraction(row)
+            ));
         }
         out.push('}');
         out

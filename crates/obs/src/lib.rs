@@ -16,7 +16,16 @@
 //! run metadata (git commit, seed, workers, cores, timestamp) so the
 //! JSON artifacts written by the bench harness are self-describing.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod export;
 pub mod meta;

@@ -9,6 +9,11 @@
 //! registration) and on [`ObsSession::snapshot`]/[`ObsSession::reset`],
 //! which the caller runs after worker threads have been joined.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
+
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -42,7 +47,7 @@ thread_local! {
 
 /// Nanoseconds since the session epoch (first call wins the epoch).
 fn now_ns() -> u64 {
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+    u64::try_from(EPOCH.get_or_init(Instant::now).elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Small dense id of the calling thread.
@@ -67,7 +72,8 @@ pub fn session() -> &'static ObsSession {
 pub fn install() -> &'static ObsSession {
     let s = session();
     let _ = now_ns();
-    let _ = RECORDER.set(s);
+    // First recorder wins; installing the session again is a no-op.
+    set_recorder(s);
     s
 }
 

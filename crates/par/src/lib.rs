@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # tac-par
 //!
 //! Work-stealing block scheduler behind TAC's parallel compression

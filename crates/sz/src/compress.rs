@@ -7,6 +7,11 @@
 //! encoder quantizes real values; the decoder replays symbols. Both write
 //! the identical reconstruction, which is what guarantees the error bound.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
+
 use crate::bitstream::{BitReader, BitWriter};
 use crate::config::{Dims, SzConfig};
 use crate::container::{Header, FLAG_F32, FLAG_LOSSLESS, MAGIC, VERSION};
@@ -40,7 +45,10 @@ struct Encoder<'a, T: Element> {
 
 impl<T: Element> PointCodec<T> for Encoder<'_, T> {
     #[inline]
-    // tac-lint: allow(panic) -- encoder over in-memory data: the traversal only produces idx < dims.len() == data.len(), validated before entry.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "encoder over in-memory data: the traversal only produces idx < dims.len() == data.len(), validated before entry."
+    )]
     fn process(&mut self, idx: usize, pred: f64) -> Result<T, SzError> {
         let v = self.data[idx];
         let (q, recon) = self.quantizer.quantize_t(v, pred);
@@ -75,7 +83,13 @@ impl<T: Element> PointCodec<T> for Decoder<'_, T> {
                 .raws
                 .get(self.next_raw)
                 .ok_or_else(|| SzError::Corrupt("raw value stream exhausted".into()))?;
-            self.next_raw += 1;
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "next_raw indexed a live element just above, so it is below usize::MAX"
+            )]
+            {
+                self.next_raw += 1;
+            }
             Ok(v)
         } else {
             Ok(self.quantizer.recover_t(sym, pred))
@@ -88,7 +102,11 @@ impl<T: Element> PointCodec<T> for Decoder<'_, T> {
 /// slab context says so — and delegating to the codec. `contexts` holds
 /// one optional regression context per 3D slab (one for `D3`, `nw` for
 /// `D4`, none for ranks 1-2).
-// tac-lint: allow(panic) -- shared encode/decode walk: recon.len() == dims.len() is validated by both callers, and every index stays below it by the loop bounds.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    reason = "shared encode/decode walk: recon.len() == dims.len() is validated by both callers, and every index stays below it (so fits usize) by the loop bounds."
+)]
 fn traverse<T: Element, C: PointCodec<T>>(
     dims: Dims,
     recon: &mut [T],
@@ -134,7 +152,11 @@ fn traverse<T: Element, C: PointCodec<T>>(
     Ok(())
 }
 
-// tac-lint: allow(panic, arith) -- shared encode/decode walk: base + nx*ny*nz <= recon.len() holds for every slab by the callers' dims validation, and x + nx*(y + ny*z) < nx*ny*nz by the loop bounds.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    reason = "shared encode/decode walk: base + nx*ny*nz <= recon.len() holds for every slab by the callers' dims validation, and x + nx*(y + ny*z) < nx*ny*nz by the loop bounds."
+)]
 fn traverse_3d<T: Element, C: PointCodec<T>>(
     nx: usize,
     ny: usize,
@@ -162,7 +184,11 @@ fn traverse_3d<T: Element, C: PointCodec<T>>(
 
 /// Builds encoder-side regression contexts (one per 3D slab) when the
 /// configuration enables them and the rank is 3 or 4.
-// tac-lint: allow(panic) -- encoder-only: slab slices cover exactly data.len() == nx*ny*nz*nw, validated before entry.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    reason = "encoder-only: slab slices cover exactly data.len() == nx*ny*nz*nw, validated before entry."
+)]
 fn build_contexts<T: Element>(
     data: &[T],
     dims: Dims,
@@ -294,7 +320,10 @@ pub fn compress_with_recon_t<T: Element>(
     let (bits, bit_len) = writer.finish();
     drop(entropy_span);
 
-    // tac-lint: allow(arith) -- writer-side capacity estimate over in-memory section lengths; a wrong guess only costs a reallocation.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "writer-side capacity estimate over in-memory section lengths; a wrong guess only costs a reallocation."
+    )]
     let mut payload = Vec::with_capacity(
         8 + raws.len() * T::WIRE_BYTES
             + pred_section.len()
@@ -332,14 +361,20 @@ pub fn compress_with_recon_t<T: Element>(
         payload
     };
 
-    // tac-lint: allow(arith) -- cfg.validate() bounds capacity to 1 << 28, well inside u32.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "cfg.validate() bounds capacity to 1 << 28, well inside u32."
+    )]
     let header = Header {
         flags,
         dims,
         abs_eb,
         capacity: cfg.capacity as u32,
     };
-    // tac-lint: allow(arith) -- writer-side capacity estimate over in-memory lengths.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "writer-side capacity estimate over in-memory lengths."
+    )]
     let mut out = Vec::with_capacity(header.encoded_len() + body.len());
     header.encode(&mut out);
     out.extend_from_slice(&body);
@@ -382,7 +417,7 @@ pub fn decompress_t<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), SzError>
     let n = header.dims.len();
     let mut r = ByteReader::new(payload);
 
-    let n_raw = r.get_u64()? as usize;
+    let n_raw = r.get_len()?;
     // Both bounds matter: `n` caps the semantic count, the payload length
     // caps the up-front allocation (a crafted count must not reserve
     // gigabytes before the reads start failing).
@@ -400,7 +435,7 @@ pub fn decompress_t<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), SzError>
     }
 
     // Predictor side-section.
-    let pred_len = r.get_u64()? as usize;
+    let pred_len = r.get_len()?;
     let pred_section = r.get_bytes(pred_len)?;
     let pred_tag = pred_section.first().copied();
     let contexts: Vec<Option<RegressionContext>> = match pred_tag {
@@ -481,16 +516,10 @@ pub fn decompress_t<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), SzError>
     if dec.next_raw != raws.len() {
         return Err(SzError::Corrupt(format!(
             "{} raw values unused",
-            raws.len() - dec.next_raw
+            raws.len().saturating_sub(dec.next_raw)
         )));
     }
     Ok((recon, header.dims))
-}
-
-/// The stream magic every TSZ1 stream starts with — exposed so the
-/// codec registry can order its sniff probes by magic length.
-pub fn stream_magic() -> &'static [u8] {
-    &MAGIC
 }
 
 /// Sanity check available to callers: magic-number sniffing.
@@ -683,6 +712,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "the test only asserts that decoding returns instead of panicking"
+    )]
     fn corrupt_stream_is_rejected_not_panicking() {
         let data = smooth_3d(8);
         let mut bytes = compress(&data, Dims::D3(8, 8, 8), &SzConfig::abs(1e-3)).unwrap();

@@ -2,11 +2,10 @@
 //! lossless backend toggle, and array dimensionality.
 
 use crate::error::SzError;
-use serde::{Deserialize, Serialize};
 use tac_dtype::{Element, TacDtype};
 
 /// How the user bounds the point-wise reconstruction error.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ErrorBound {
     /// Point-wise absolute error bound: `|v - v'| <= eb` for every point.
     Abs(f64),
@@ -65,7 +64,7 @@ impl ErrorBound {
 /// Rank 4 (`D4`) is a batch of independent 3D blocks (the layout TAC's
 /// OpST strategy feeds to the compressor): prediction never crosses the
 /// outermost (`w`) axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dims {
     /// 1D array of the given length.
     D1(usize),
@@ -127,7 +126,7 @@ impl Dims {
 }
 
 /// Full compressor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SzConfig {
     /// Error-bound mode and magnitude.
     pub error_bound: ErrorBound,

@@ -14,6 +14,11 @@
 //! payload ...     (see compress.rs)
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
+
 use crate::config::Dims;
 use crate::error::SzError;
 use crate::wire::{ByteReader, ByteWriter};
@@ -53,7 +58,10 @@ impl Header {
     }
 
     /// Serialized size in bytes.
-    // tac-lint: allow(arith) -- writer-side size accounting: rank() <= 3, so the sum stays tiny.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "writer-side size accounting: rank() <= 3, so the sum stays tiny."
+    )]
     pub fn encoded_len(&self) -> usize {
         4 + 1 + 1 + 1 + self.dims.rank() as usize * 8 + 8 + 4
     }
@@ -114,8 +122,7 @@ impl Header {
             return Err(SzError::Corrupt(format!("invalid rank {rank}")));
         }
         fn dim(r: &mut ByteReader<'_>) -> Result<usize, SzError> {
-            r.get_u64()
-                .map(|v| v as usize)
+            r.get_len()
                 .map_err(|_| SzError::Corrupt("header truncated".into()))
         }
         let dims = match rank {

@@ -5,6 +5,11 @@
 //! serialize only the `(symbol, code length)` table, and reconstruct the
 //! canonical code on the decode side.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
+
 use crate::bitstream::{BitReader, BitWriter};
 use crate::error::SzError;
 use crate::wire::ByteReader;
@@ -31,7 +36,11 @@ impl HuffmanCode {
     ///
     /// # Panics
     /// Panics if `data` is empty (callers guard this).
-    // tac-lint: allow(panic) -- encoder over in-memory input; `i` and `j` stay below sorted.len() by the loop guards.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "encoder over in-memory input; `i` and `j` stay below sorted.len() by the loop guards."
+    )]
     pub fn from_symbols(data: &[u32]) -> Self {
         assert!(!data.is_empty(), "cannot build a Huffman code from nothing");
         // Frequency map. Symbols are quantization codes, usually tightly
@@ -69,7 +78,11 @@ impl HuffmanCode {
     ///
     /// # Panics
     /// Panics if a symbol was not present when the code was built.
-    // tac-lint: allow(panic) -- encoder-side: callers encode the same data the table was built from, so lookup succeeds and idx < symbols.len() = codes.len() = lengths.len().
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "encoder-side: callers encode the same data the table was built from, so lookup succeeds and idx < symbols.len() = codes.len() = lengths.len()."
+    )]
     pub fn encode(&self, data: &[u32], writer: &mut BitWriter) {
         for &s in data {
             let idx = self
@@ -81,7 +94,10 @@ impl HuffmanCode {
     }
 
     /// Serializes the `(symbol, length)` table.
-    // tac-lint: allow(arith) -- encoder-side: distinct symbols come from one in-memory block, far below u32::MAX.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "encoder-side: distinct symbols come from one in-memory block, far below u32::MAX."
+    )]
     pub fn serialize_table(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.symbols.len() as u32).to_le_bytes());
         for (&s, &l) in self.symbols.iter().zip(&self.lengths) {
@@ -91,7 +107,10 @@ impl HuffmanCode {
     }
 
     /// Size in bytes of the serialized table.
-    // tac-lint: allow(arith) -- encoder-side accounting over an in-memory table; 5 bytes per symbol cannot overflow usize.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "encoder-side accounting over an in-memory table; 5 bytes per symbol cannot overflow usize."
+    )]
     pub fn table_size(&self) -> usize {
         4 + self.symbols.len() * 5
     }
@@ -135,6 +154,10 @@ impl HuffmanCode {
         // Kraft check: sum of 2^-len must not exceed 1 (and equals 1 for a
         // complete code); reject over-subscribed tables.
         let mut kraft = 0u128;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "1 <= l <= MAX_CODE_LEN (64) is checked on read, and at most 2^32 terms of 2^63 fit u128"
+        )]
         for &l in &lengths {
             kraft += 1u128 << (MAX_CODE_LEN - l);
         }
@@ -165,8 +188,7 @@ impl HuffmanCode {
 
 /// Canonical decoding state: for each code length, the first canonical code
 /// of that length and the index of its first symbol.
-struct CanonicalDecoder<'a> {
-    code: &'a HuffmanCode,
+struct CanonicalDecoder {
     /// Indices into a by-length ordering of symbols.
     by_len_symbol: Vec<u32>,
     /// For each length 1..=max: (first_code, first_index, count).
@@ -174,11 +196,10 @@ struct CanonicalDecoder<'a> {
     single_symbol: Option<u32>,
 }
 
-impl<'a> CanonicalDecoder<'a> {
-    fn new(code: &'a HuffmanCode) -> Self {
+impl CanonicalDecoder {
+    fn new(code: &HuffmanCode) -> Self {
         if code.symbols.len() == 1 {
             return CanonicalDecoder {
-                code,
                 by_len_symbol: Vec::new(),
                 levels: Vec::new(),
                 single_symbol: code.symbols.first().copied(),
@@ -200,7 +221,7 @@ impl<'a> CanonicalDecoder<'a> {
         let mut counts = vec![0u32; max_len.saturating_add(1)];
         for &(l, _) in &pairs {
             if let Some(c) = counts.get_mut(usize::from(l)) {
-                *c += 1;
+                *c = c.saturating_add(1);
             }
         }
         let mut levels = Vec::with_capacity(max_len);
@@ -209,11 +230,10 @@ impl<'a> CanonicalDecoder<'a> {
         for &count in counts.iter().skip(1) {
             next_code <<= 1;
             levels.push((next_code, first_index, count));
-            next_code += u64::from(count);
+            next_code = next_code.wrapping_add(u64::from(count));
             first_index = first_index.saturating_add(count);
         }
         CanonicalDecoder {
-            code,
             by_len_symbol,
             levels,
             single_symbol: None,
@@ -221,6 +241,10 @@ impl<'a> CanonicalDecoder<'a> {
     }
 
     #[inline]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "acc >= first_code is checked before each subtraction, and a u32 index plus a difference below a u32 count fits u64"
+    )]
     fn decode_one(&self, reader: &mut BitReader<'_>) -> Result<u32, SzError> {
         if let Some(s) = self.single_symbol {
             // Degenerate one-symbol alphabet: a 1-bit code was written.
@@ -232,25 +256,26 @@ impl<'a> CanonicalDecoder<'a> {
             acc = (acc << 1) | u64::from(reader.read_bit()?);
             if count > 0 && acc >= first_code && acc - first_code < u64::from(count) {
                 let idx = u64::from(first_index) + (acc - first_code);
-                return self
-                    .by_len_symbol
-                    .get(idx as usize)
+                return usize::try_from(idx)
+                    .ok()
+                    .and_then(|i| self.by_len_symbol.get(i))
                     .copied()
                     .ok_or_else(|| SzError::Corrupt("invalid huffman codeword".into()));
             }
         }
         Err(SzError::Corrupt("invalid huffman codeword".into()))
     }
-
-    #[allow(dead_code)]
-    fn code(&self) -> &HuffmanCode {
-        self.code
-    }
 }
 
 /// Computes Huffman code lengths from frequencies (package-style heap
 /// algorithm). A single symbol gets length 1.
-// tac-lint: allow(panic, arith) -- encoder-only tree build: the heap holds n >= 2 items when popped twice, every node id is < 2n-1 by construction, and n is an in-memory symbol count.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "encoder-only tree build: the heap holds n >= 2 items when popped twice, every node id is < 2n-1 by construction, and n is an in-memory symbol count."
+)]
 fn code_lengths(freqs: &[u64]) -> Vec<u8> {
     let n = freqs.len();
     if n == 1 {
@@ -317,14 +342,14 @@ fn canonical_codes(lengths: &[u8]) -> Vec<u64> {
     let mut counts = vec![0u64; max_len.saturating_add(1)];
     for &l in lengths {
         if let Some(c) = counts.get_mut(usize::from(l)) {
-            *c += 1;
+            *c = c.saturating_add(1);
         }
     }
     let mut next_code = vec![0u64; max_len.saturating_add(1)];
     let mut code = 0u64;
     for len in 1..=max_len {
         let shorter = counts.get(len.wrapping_sub(1)).copied().unwrap_or(0);
-        code = (code + shorter) << 1;
+        code = code.wrapping_add(shorter) << 1;
         if let Some(slot) = next_code.get_mut(len) {
             *slot = code;
         }
@@ -337,7 +362,7 @@ fn canonical_codes(lengths: &[u8]) -> Vec<u64> {
         match next_code.get_mut(usize::from(l)) {
             Some(slot) => {
                 codes.push(*slot);
-                *slot += 1;
+                *slot = slot.wrapping_add(1);
             }
             None => codes.push(0),
         }

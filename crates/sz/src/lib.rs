@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # tac-sz
 //!
 //! A from-scratch, SZ-style **error-bounded lossy compressor** for
@@ -32,6 +30,16 @@
 //! }
 //! ```
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 mod bitstream;
@@ -49,10 +57,10 @@ pub mod wire;
 
 pub use compress::{
     compress, compress_t, compress_with_recon, compress_with_recon_t, decompress, decompress_t,
-    looks_like_stream, stream_dtype, stream_magic,
+    looks_like_stream, stream_dtype,
 };
 pub use config::{Dims, ErrorBound, SzConfig};
-pub use container::{Header, FLAG_F32, FLAG_LOSSLESS};
+pub use container::{Header, FLAG_F32, FLAG_LOSSLESS, MAGIC};
 pub use error::SzError;
 pub use huffman::HuffmanCode;
 pub use quantizer::{Quantized, Quantizer, UNPREDICTABLE};

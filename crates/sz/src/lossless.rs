@@ -12,6 +12,11 @@
 //! `compress` is guaranteed lossless and never fails; `decompress`
 //! validates every back-reference.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
+
 use crate::error::SzError;
 use crate::wire::ByteReader;
 
@@ -21,7 +26,11 @@ const WINDOW: usize = 1 << 16;
 const HASH_BITS: u32 = 15;
 const MAX_CHAIN: usize = 64;
 
-// tac-lint: allow(panic) -- encoder-side hash over in-memory input; every caller guarantees i + 3 < data.len() before probing.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    reason = "encoder-side hash over in-memory input; every caller guarantees i + 3 < data.len() before probing."
+)]
 #[inline]
 fn hash4(data: &[u8], i: usize) -> usize {
     let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
@@ -30,7 +39,12 @@ fn hash4(data: &[u8], i: usize) -> usize {
 
 /// Compresses `input`, returning the token stream. Output layout:
 /// `u64 LE` uncompressed length, then control-byte-grouped tokens.
-// tac-lint: allow(panic, arith) -- encoder over trusted in-memory data: indices stay below input.len() by construction, offsets fit the 64 KiB window (u16) and match lengths 4..=258 fit a byte after the MIN_MATCH bias.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "encoder over trusted in-memory data: indices stay below input.len() by construction, offsets fit the 64 KiB window (u16) and match lengths 4..=258 fit a byte after the MIN_MATCH bias."
+)]
 pub fn compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
     out.extend_from_slice(&(input.len() as u64).to_le_bytes());
@@ -125,9 +139,8 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 pub fn decompress(input: &[u8]) -> Result<Vec<u8>, SzError> {
     let mut r = ByteReader::new(input);
     let n = r
-        .get_u64()
-        .map_err(|_| SzError::Corrupt("lzss stream shorter than header".into()))?
-        as usize;
+        .get_len()
+        .map_err(|_| SzError::Corrupt("lzss stream shorter than header".into()))?;
     // Bound the up-front allocation by what the token stream could ever
     // produce: each token needs at least 3 bytes (plus control bits) and
     // expands to at most MAX_MATCH bytes, so a tiny stream declaring a
@@ -151,13 +164,17 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, SzError> {
             if ctrl & (1 << bit) != 0 {
                 let truncated = |_| SzError::Corrupt("lzss stream truncated (match)".into());
                 let off = r.get_u16().map_err(truncated)? as usize;
-                let len = MIN_MATCH + r.get_u8().map_err(truncated)? as usize;
+                let len = MIN_MATCH + usize::from(r.get_u8().map_err(truncated)?);
                 if off == 0 || off > out.len() {
                     return Err(SzError::Corrupt(format!(
                         "lzss back-reference {off} beyond {} decoded bytes",
                         out.len()
                     )));
                 }
+                #[expect(
+                    clippy::arithmetic_side_effects,
+                    reason = "off <= out.len() is checked just above"
+                )]
                 let start = out.len() - off;
                 if len <= off {
                     // Source and destination cannot overlap: bulk copy.

@@ -20,6 +20,10 @@ use tac_dtype::Element;
 
 /// 1D Lorenzo: previous value.
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "callers pass an in-grid i, so i - 1 indexes recon"
+)]
 pub fn lorenzo_1d<T: Element>(recon: &[T], i: usize) -> f64 {
     if i >= 1 {
         recon[i - 1].to_f64()
@@ -31,6 +35,10 @@ pub fn lorenzo_1d<T: Element>(recon: &[T], i: usize) -> f64 {
 /// 2D Lorenzo on an `(nx, ny)` row-major grid (x fastest):
 /// `f(x-1,y) + f(x,y-1) - f(x-1,y-1)`.
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "callers pass in-grid coordinates of an nx-wide recon, and the offsets apply only when x, y >= 1"
+)]
 pub fn lorenzo_2d<T: Element>(recon: &[T], nx: usize, x: usize, y: usize) -> f64 {
     let at = |dx: usize, dy: usize| -> f64 {
         // dx/dy are offsets of 1 meaning "minus one"; guarded by callers.
@@ -47,6 +55,10 @@ pub fn lorenzo_2d<T: Element>(recon: &[T], nx: usize, x: usize, y: usize) -> f64
 /// 3D Lorenzo on an `(nx, ny, nz)` row-major grid (x fastest):
 /// the inclusion–exclusion sum over the 7 lower-corner neighbours.
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "callers pass in-grid coordinates of an nx*ny-plane recon, and the offsets apply only when x, y, z >= 1"
+)]
 pub fn lorenzo_3d<T: Element>(
     recon: &[T],
     nx: usize,

@@ -71,10 +71,10 @@ impl RegressionContext {
     #[inline]
     pub fn predict(&self, x: usize, y: usize, z: usize) -> Option<f64> {
         let b = self.block_of(x, y, z);
-        if !self.modes[b] {
+        if !self.modes.get(b).copied().unwrap_or(false) {
             return None;
         }
-        let c = &self.coeffs[b];
+        let c = self.coeffs.get(b)?;
         let lx = (x % REGRESSION_BLOCK) as f64;
         let ly = (y % REGRESSION_BLOCK) as f64;
         let lz = (z % REGRESSION_BLOCK) as f64;
@@ -86,6 +86,10 @@ impl RegressionContext {
     /// data, and keeps regression where it wins. Coefficients are already
     /// quantized (encoder and decoder share exact values). Fitting widens
     /// elements to `f64`; the serialized coefficients are width-agnostic.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "encoder over in-memory data: bi < nblocks by the loop bounds and every block lies inside the validated nx*ny*nz grid"
+    )]
     pub fn build<T: Element>(data: &[T], nx: usize, ny: usize, nz: usize, eb: f64) -> Self {
         let nb = Self::grid(nx, ny, nz);
         let nblocks = nb.0 * nb.1 * nb.2;
@@ -158,14 +162,13 @@ impl RegressionContext {
             flags.push(byte);
         }
         out.extend_from_slice(&flags);
-        for (bi, &m) in self.modes.iter().enumerate() {
+        for (&m, c) in self.modes.iter().zip(&self.coeffs) {
             if !m {
                 continue;
             }
-            let c = &self.coeffs[bi];
             write_zigzag(out, (c.b0 / q0).round() as i64);
-            for k in 0..3 {
-                write_zigzag(out, (c.b[k] / q1).round() as i64);
+            for b in c.b {
+                write_zigzag(out, (b / q1).round() as i64);
             }
         }
     }
@@ -180,17 +183,26 @@ impl RegressionContext {
         eb: f64,
     ) -> Result<(Self, usize), SzError> {
         let nb = Self::grid(nx, ny, nz);
-        let nblocks = nb.0 * nb.1 * nb.2;
+        let nblocks =
+            nb.0.checked_mul(nb.1)
+                .and_then(|v| v.checked_mul(nb.2))
+                .ok_or_else(|| SzError::Corrupt("regression block count overflows".into()))?;
         let flag_bytes = nblocks.div_ceil(8);
-        if bytes.len() < flag_bytes {
-            return Err(SzError::Corrupt("regression flags truncated".into()));
-        }
-        let mut modes = Vec::with_capacity(nblocks);
-        for i in 0..nblocks {
-            modes.push(bytes[i / 8] >> (i % 8) & 1 == 1);
-        }
+        let flags = bytes
+            .get(..flag_bytes)
+            .ok_or_else(|| SzError::Corrupt("regression flags truncated".into()))?;
+        let modes: Vec<bool> = flags
+            .iter()
+            .flat_map(|&f| (0..8).map(move |k| f >> k & 1 == 1))
+            .take(nblocks)
+            .collect();
         let (q0, q1) = coeff_steps(eb);
         let mut pos = flag_bytes;
+        let mut next = || -> Result<i64, SzError> {
+            let (v, n) = read_zigzag(bytes.get(pos..).unwrap_or_default())?;
+            pos += n;
+            Ok(v)
+        };
         let mut coeffs = vec![
             BlockCoeffs {
                 b0: 0.0,
@@ -198,20 +210,14 @@ impl RegressionContext {
             };
             nblocks
         ];
-        for (bi, &m) in modes.iter().enumerate() {
+        for (&m, c) in modes.iter().zip(coeffs.iter_mut()) {
             if !m {
                 continue;
             }
-            let (v0, n0) = read_zigzag(&bytes[pos..])?;
-            pos += n0;
-            let mut b = [0.0; 3];
-            let b0 = v0 as f64 * q0;
-            for slot in b.iter_mut() {
-                let (v, n) = read_zigzag(&bytes[pos..])?;
-                pos += n;
-                *slot = v as f64 * q1;
+            c.b0 = next()? as f64 * q0;
+            for slot in c.b.iter_mut() {
+                *slot = next()? as f64 * q1;
             }
-            coeffs[bi] = BlockCoeffs { b0, b };
         }
         Ok((
             RegressionContext {
@@ -234,6 +240,10 @@ fn coeff_steps(eb: f64) -> (f64, f64) {
 /// Least-squares plane fit over one block (local coordinates measured
 /// from the block's low corner). Axis-wise orthogonality on the full
 /// cuboid grid makes this a closed form.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "encoder-only: the block lies inside the validated nx*ny*nz grid"
+)]
 fn fit_block<T: Element>(
     data: &[T],
     nx: usize,
@@ -294,6 +304,10 @@ fn fit_block<T: Element>(
 /// the real decoder-side Lorenzo suffers (~`eb` of extra error per
 /// point); that noise term is added explicitly, exactly the adjustment
 /// SZ2's selector applies.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "encoder-only: the block lies inside the validated nx*ny*nz grid"
+)]
 fn regression_loses<T: Element>(
     data: &[T],
     nx: usize,

@@ -6,6 +6,11 @@
 //! implementation means one set of bounds checks and one place where
 //! endianness is decided.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
+
 use crate::error::SzError;
 
 /// Little-endian byte writer over a growable buffer.
@@ -127,6 +132,13 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(self.take_array()?))
     }
 
+    /// Reads a little-endian `u64` length, offset or count as `usize`;
+    /// a value beyond the address space is corrupt, not truncated.
+    pub fn get_len(&mut self) -> Result<usize, SzError> {
+        usize::try_from(self.get_u64()?)
+            .map_err(|_| SzError::Corrupt("length exceeds the address space".into()))
+    }
+
     /// Reads a little-endian `f64`.
     pub fn get_f64(&mut self) -> Result<f64, SzError> {
         Ok(f64::from_le_bytes(self.take_array()?))
@@ -139,7 +151,7 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a `u64`-length-prefixed blob (borrowed).
     pub fn get_blob(&mut self) -> Result<&'a [u8], SzError> {
-        let len = self.get_u64()? as usize;
+        let len = self.get_len()?;
         self.get_bytes(len)
     }
 
@@ -168,7 +180,7 @@ impl<'a> ByteReader<'a> {
 
     /// Unread bytes left.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.buf.len().saturating_sub(self.pos)
     }
 }
 

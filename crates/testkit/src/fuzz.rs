@@ -159,6 +159,10 @@ pub fn corpus() -> Vec<Vec<u8>> {
 /// Probes one byte string through the whole decode surface, catching
 /// panics. This is exactly what the fuzzer asserts on, and what the
 /// pinned regression tests replay.
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "region decode is probed for panics only; its result is irrelevant"
+)]
 pub fn probe_container(bytes: &[u8]) -> ProbeResult {
     probe_with(|| {
         // Region decode must fail or succeed cleanly whatever the bytes

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # tac-testkit
 //!
 //! Systematic evidence that the TAC stack keeps its promises on

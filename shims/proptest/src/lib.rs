@@ -360,7 +360,6 @@ mod tests {
     fn failing_assertion_panics() {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(1))]
-            #[allow(unused)]
             fn inner(x in 0u64..10) {
                 prop_assert!(x > 1000, "x was {}", x);
             }
