@@ -13,8 +13,8 @@ use tac_bench::obs_support;
 use tac_bench::support::{measure, measure_f32, narrow_dataset_f32};
 use tac_bench::{default_scale, load_dataset};
 use tac_core::{
-    codec_for, compress_dataset, compress_dataset_f32, decompress_dataset_f32,
-    decompress_dataset_par, CodecConfig, CodecId, Method, Parallelism,
+    codec_for, compress_dataset, compress_dataset_t, decompress_dataset_par, decompress_dataset_t,
+    CodecConfig, CodecId, Method, Parallelism,
 };
 use tac_obs::export::StageReport;
 use tac_obs::Snapshot;
@@ -63,7 +63,7 @@ fn bench_dataset_by_codec_f32(c: &mut Criterion) {
     for codec in CodecId::all() {
         let cfg = bench_config(unit, codec);
         group.bench_function(codec.label(), |b| {
-            b.iter(|| compress_dataset_f32(black_box(&ds32), &cfg, Method::Tac).unwrap())
+            b.iter(|| compress_dataset_t(black_box(&ds32), &cfg, Method::Tac).unwrap())
         });
     }
     group.finish();
@@ -72,9 +72,9 @@ fn bench_dataset_by_codec_f32(c: &mut Criterion) {
     group.sample_size(10).throughput(Throughput::Bytes(bytes));
     for codec in CodecId::all() {
         let cfg = bench_config(unit, codec);
-        let cd = compress_dataset_f32(&ds32, &cfg, Method::Tac).unwrap();
+        let cd = compress_dataset_t(&ds32, &cfg, Method::Tac).unwrap();
         group.bench_function(codec.label(), |b| {
-            b.iter(|| decompress_dataset_f32(black_box(&cd)).unwrap())
+            b.iter(|| decompress_dataset_t::<f32>(black_box(&cd)).unwrap())
         });
     }
     group.finish();

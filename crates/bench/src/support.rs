@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use tac_amr::{to_uniform, AmrDataset, AmrLevel};
 use tac_analysis::{amr_distortion, power_spectrum, relative_error};
 use tac_core::{
-    compress_dataset, compress_dataset_f32, decompress_dataset, decompress_dataset_f32, Method,
+    compress_dataset, compress_dataset_t, decompress_dataset, decompress_dataset_t, Method,
     TacConfig,
 };
 use tac_nyx::FieldKind;
@@ -178,10 +178,10 @@ pub fn measure_f32(
     eb_label: f64,
 ) -> Measured {
     let t0 = std::time::Instant::now();
-    let cd = compress_dataset_f32(ds, cfg, method).expect("compression failed");
+    let cd = compress_dataset_t(ds, cfg, method).expect("compression failed");
     let compress_s = t0.elapsed().as_secs_f64();
     let t1 = std::time::Instant::now();
-    let out = decompress_dataset_f32(&cd).expect("decompression failed");
+    let out = decompress_dataset_t::<f32>(&cd).expect("decompression failed");
     let decompress_s = t1.elapsed().as_secs_f64();
     let stats = cd.stats();
     let d = amr_distortion(&widen_dataset_f64(ds), &widen_dataset_f64(&out));

@@ -90,12 +90,12 @@ pub use gsp::pad_ghost_shell;
 pub use nast::plan_nast;
 pub use opst::{plan_opst, plan_opst_from_occupancy, OpstPlan};
 pub use pipeline::{
-    compress_dataset, compress_dataset_f32, compress_dataset_t, compress_level, compress_level_t,
-    decompress_dataset, decompress_dataset_any, decompress_dataset_f32, decompress_dataset_par,
-    decompress_dataset_par_t, decompress_dataset_t, decompress_level, decompress_level_t,
-    resolve_level_eb, resolve_level_eb_for, select_method, AnyDataset,
+    compress_dataset, compress_dataset_t, compress_level, compress_level_t, decompress_dataset,
+    decompress_dataset_any, decompress_dataset_par, decompress_dataset_par_t, decompress_dataset_t,
+    decompress_level, decompress_level_t, resolve_level_eb, resolve_level_eb_for, select_method,
+    AnyDataset,
 };
-pub use roi::{decompress_region, decompress_region_f32, decompress_region_t, RoiStats};
+pub use roi::{decompress_region, decompress_region_t, RoiStats};
 pub use select::{select_auto, AutoSelection, CandidateEstimate};
 pub use stream::{BlockGroup, CompressedLevel, LevelPayload};
 pub use zmesh::{gather, scatter, zmesh_order, ZmeshEntry};

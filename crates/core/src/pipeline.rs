@@ -15,7 +15,7 @@ use crate::extract::decompress_groups;
 use crate::stream::{CompressedLevel, LevelPayload};
 use crate::zmesh::{gather, scatter, zmesh_order};
 use tac_amr::{to_uniform, AmrDataset, AmrLevel, BitMask};
-use tac_codec::{codec_for, CodecElement, CodecError, Dims, ErrorBound};
+use tac_codec::{codec_for, CodecElement, CodecError, CodecId, Dims, ErrorBound};
 use tac_dtype::{dispatch_dtype, Element, TacDtype};
 use tac_par::Parallelism;
 
@@ -201,16 +201,6 @@ pub fn compress_dataset(
     compress_dataset_t(ds, cfg, method)
 }
 
-/// [`compress_dataset`] for `f32` data. The container records the
-/// element type and serializes as a v4 stream.
-pub fn compress_dataset_f32(
-    ds: &AmrDataset<f32>,
-    cfg: &TacConfig,
-    method: Method,
-) -> Result<CompressedDataset, TacError> {
-    compress_dataset_t(ds, cfg, method)
-}
-
 /// Element-generic compression pipeline behind [`compress_dataset`].
 /// Monomorphized once per element type: the hot quantize/predict loops
 /// carry no per-value dtype branches.
@@ -224,34 +214,7 @@ pub fn compress_dataset_t<T: CodecElement>(
     let masks: Vec<BitMask> = ds.levels().iter().map(|l| l.mask().clone()).collect();
     let workers = cfg.parallelism.workers();
     let body = match method {
-        Method::Tac => {
-            // Plan every level serially (cheap partition planning), then
-            // run all per-level / per-region compression tasks on the
-            // work-stealing scheduler in one flattened batch.
-            let mut plans = Vec::with_capacity(ds.num_levels());
-            {
-                let _plan = tac_obs::span(tac_obs::Stage::Plan);
-                for (l, level) in ds.levels().iter().enumerate() {
-                    let strategy = choose_strategy(level, cfg);
-                    // An empty level compresses nothing, so no bound needs
-                    // to resolve (a relative bound could not: there is no
-                    // range).
-                    let abs_eb = if strategy == Strategy::Empty {
-                        EMPTY_LEVEL_EB
-                    } else {
-                        resolve_level_eb_for(
-                            T::DTYPE,
-                            cfg.error_bound,
-                            cfg.level_scale(l),
-                            level.value_range(),
-                        )?
-                    };
-                    plans.push(engine::plan_level(level, strategy, abs_eb, cfg)?);
-                }
-            }
-            let level_data: Vec<&[T]> = ds.levels().iter().map(|l| l.data()).collect();
-            MethodBody::Tac(engine::compress_plans(&plans, &level_data, cfg, workers)?)
-        }
+        Method::Tac => compress_tac(ds, cfg, &[], workers)?,
         Method::Baseline1D => {
             // One 1D compression task per non-empty level. Tasks borrow
             // their level and gather present values inside the closure,
@@ -308,12 +271,8 @@ pub fn compress_dataset_t<T: CodecElement>(
                     "dataset has no present cells".into(),
                 ));
             }
-            let (min, max) = values
-                .iter()
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                    (lo.min(v.to_f64()), hi.max(v.to_f64()))
-                });
-            let abs_eb = resolve_level_eb_for(T::DTYPE, cfg.error_bound, 1.0, Some((min, max)))?;
+            let abs_eb =
+                resolve_level_eb_for(T::DTYPE, cfg.error_bound, 1.0, Some(min_max(&values)))?;
             let stream = {
                 let _encode = tac_obs::span(tac_obs::Stage::Encode).arg("codec", cfg.codec.tag());
                 T::codec_compress(
@@ -339,32 +298,7 @@ pub fn compress_dataset_t<T: CodecElement>(
             // byte-identical across worker counts like every fixed path.
             let selection = crate::select::select_auto(ds, cfg)?;
             if selection.method == Method::Tac {
-                // Re-plan the levels and overwrite each plan's codec
-                // with the selected per-level winner before execution.
-                let mut plans = Vec::with_capacity(ds.num_levels());
-                {
-                    let _plan = tac_obs::span(tac_obs::Stage::Plan);
-                    for (l, level) in ds.levels().iter().enumerate() {
-                        let strategy = choose_strategy(level, cfg);
-                        let abs_eb = if strategy == Strategy::Empty {
-                            EMPTY_LEVEL_EB
-                        } else {
-                            resolve_level_eb_for(
-                                T::DTYPE,
-                                cfg.error_bound,
-                                cfg.level_scale(l),
-                                level.value_range(),
-                            )?
-                        };
-                        let mut plan = engine::plan_level(level, strategy, abs_eb, cfg)?;
-                        if let Some(&codec) = selection.level_codecs.get(l) {
-                            plan.codec = codec;
-                        }
-                        plans.push(plan);
-                    }
-                }
-                let level_data: Vec<&[T]> = ds.levels().iter().map(|l| l.data()).collect();
-                MethodBody::Tac(engine::compress_plans(&plans, &level_data, cfg, workers)?)
+                compress_tac(ds, cfg, &selection.level_codecs, workers)?
             } else {
                 // A single-codec winner: rerun the fixed pipeline with
                 // the selected codec. The recursion terminates because
@@ -379,12 +313,8 @@ pub fn compress_dataset_t<T: CodecElement>(
         Method::Baseline3D => {
             let uniform = to_uniform(ds);
             let n = ds.finest_dim();
-            let (min, max) = uniform
-                .iter()
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                    (lo.min(v.to_f64()), hi.max(v.to_f64()))
-                });
-            let abs_eb = resolve_level_eb_for(T::DTYPE, cfg.error_bound, 1.0, Some((min, max)))?;
+            let abs_eb =
+                resolve_level_eb_for(T::DTYPE, cfg.error_bound, 1.0, Some(min_max(&uniform)))?;
             let stream = {
                 let _encode = tac_obs::span(tac_obs::Stage::Encode).arg("codec", cfg.codec.tag());
                 T::codec_compress(
@@ -412,6 +342,56 @@ pub fn compress_dataset_t<T: CodecElement>(
     })
 }
 
+/// TAC's level-wise path: plans every level serially (cheap partition
+/// planning), then runs all per-level / per-region compression tasks on
+/// the work-stealing scheduler in one flattened batch. `level_codecs[l]`,
+/// where present, overrides level `l`'s codec: `&[]` for plain TAC, the
+/// selected per-level winners for [`Method::Auto`].
+fn compress_tac<T: CodecElement>(
+    ds: &AmrDataset<T>,
+    cfg: &TacConfig,
+    level_codecs: &[CodecId],
+    workers: usize,
+) -> Result<MethodBody, TacError> {
+    let mut plans = Vec::with_capacity(ds.num_levels());
+    {
+        let _plan = tac_obs::span(tac_obs::Stage::Plan);
+        for (l, level) in ds.levels().iter().enumerate() {
+            let strategy = choose_strategy(level, cfg);
+            // An empty level compresses nothing, so no bound needs to
+            // resolve (a relative bound could not: there is no range).
+            let abs_eb = if strategy == Strategy::Empty {
+                EMPTY_LEVEL_EB
+            } else {
+                resolve_level_eb_for(
+                    T::DTYPE,
+                    cfg.error_bound,
+                    cfg.level_scale(l),
+                    level.value_range(),
+                )?
+            };
+            let mut plan = engine::plan_level(level, strategy, abs_eb, cfg)?;
+            if let Some(&codec) = level_codecs.get(l) {
+                plan.codec = codec;
+            }
+            plans.push(plan);
+        }
+    }
+    let level_data: Vec<&[T]> = ds.levels().iter().map(|l| l.data()).collect();
+    let levels = engine::compress_plans(&plans, &level_data, cfg, workers)?;
+    Ok(MethodBody::Tac(levels))
+}
+
+/// `(min, max)` of `values` in `f64` working precision: the range the
+/// single-stream baselines resolve their one bound against.
+fn min_max<T: Element>(values: &[T]) -> (f64, f64) {
+    values
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+            (lo.min(v.to_f64()), hi.max(v.to_f64()))
+        })
+}
+
 /// Decompresses a container back into an AMR dataset (serial engine).
 pub fn decompress_dataset(cd: &CompressedDataset) -> Result<AmrDataset, TacError> {
     decompress_dataset_par(cd, Parallelism::Serial)
@@ -425,11 +405,6 @@ pub fn decompress_dataset_par(
     parallelism: Parallelism,
 ) -> Result<AmrDataset, TacError> {
     decompress_dataset_par_t::<f64>(cd, parallelism)
-}
-
-/// [`decompress_dataset`] for `f32` containers (serial engine).
-pub fn decompress_dataset_f32(cd: &CompressedDataset) -> Result<AmrDataset<f32>, TacError> {
-    decompress_dataset_par_t::<f32>(cd, Parallelism::Serial)
 }
 
 /// Element-generic [`decompress_dataset`] (serial engine).
@@ -735,14 +710,12 @@ mod tests {
             ] {
                 let cd = compress_dataset(&ds, &cfg, method).unwrap();
                 assert_eq!(cd.method(), method);
-                for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
-                    let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
-                    assert_eq!(parsed, cd, "{method:?}/{codec} reparse");
-                    let out = decompress_dataset(&parsed).unwrap();
-                    assert_eq!(out.num_levels(), ds.num_levels());
-                    for (a, b) in ds.levels().iter().zip(out.levels()) {
-                        check_level_bound(a, b, 1e-3);
-                    }
+                let parsed = CompressedDataset::from_bytes(&cd.to_bytes()).unwrap();
+                assert_eq!(parsed, cd, "{method:?}/{codec} reparse");
+                let out = decompress_dataset(&parsed).unwrap();
+                assert_eq!(out.num_levels(), ds.num_levels());
+                for (a, b) in ds.levels().iter().zip(out.levels()) {
+                    check_level_bound(a, b, 1e-3);
                 }
             }
         }
@@ -922,38 +895,37 @@ mod tests {
                 Method::ZMesh,
                 Method::Baseline3D,
             ] {
-                let cd = compress_dataset_f32(&ds, &cfg, method).unwrap();
+                let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
                 assert_eq!(cd.dtype, TacDtype::F32);
-                for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
-                    let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
-                    assert_eq!(parsed, cd, "{method:?}/{codec} reparse");
-                    let out = decompress_dataset_f32(&parsed).unwrap();
-                    assert_eq!(out.num_levels(), ds.num_levels());
-                    for (a, b) in ds.levels().iter().zip(out.levels()) {
-                        for i in a.mask().iter_ones() {
-                            let (x, y) = (a.data()[i], b.data()[i]);
-                            assert!(
-                                (x - y).abs() <= eb * (1.0 + 1e-5),
-                                "{method:?}/{codec} cell {i}: {x} vs {y}"
-                            );
-                        }
-                        for i in 0..a.num_cells() {
-                            if !a.mask().get(i) {
-                                assert_eq!(b.data()[i], 0.0);
-                            }
+                let bytes = cd.to_bytes();
+                let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
+                assert_eq!(parsed, cd, "{method:?}/{codec} reparse");
+                let out = decompress_dataset_t::<f32>(&parsed).unwrap();
+                assert_eq!(out.num_levels(), ds.num_levels());
+                for (a, b) in ds.levels().iter().zip(out.levels()) {
+                    for i in a.mask().iter_ones() {
+                        let (x, y) = (a.data()[i], b.data()[i]);
+                        assert!(
+                            (x - y).abs() <= eb * (1.0 + 1e-5),
+                            "{method:?}/{codec} cell {i}: {x} vs {y}"
+                        );
+                    }
+                    for i in 0..a.num_cells() {
+                        if !a.mask().get(i) {
+                            assert_eq!(b.data()[i], 0.0);
                         }
                     }
-                    // Decoding at the wrong width must be refused, not
-                    // misinterpreted.
-                    assert!(matches!(
-                        decompress_dataset(&parsed),
-                        Err(TacError::Codec(CodecError::WrongDtype { .. }))
-                    ));
-                    // The sniffing path picks the declared element type.
-                    let any = decompress_dataset_any(&parsed).unwrap();
-                    assert_eq!(any.dtype(), TacDtype::F32);
-                    assert_eq!(any.num_levels(), ds.num_levels());
                 }
+                // Decoding at the wrong width must be refused, not
+                // misinterpreted.
+                assert!(matches!(
+                    decompress_dataset(&parsed),
+                    Err(TacError::Codec(CodecError::WrongDtype { .. }))
+                ));
+                // The sniffing path picks the declared element type.
+                let any = decompress_dataset_any(&parsed).unwrap();
+                assert_eq!(any.dtype(), TacDtype::F32);
+                assert_eq!(any.num_levels(), ds.num_levels());
             }
         }
     }
@@ -968,7 +940,7 @@ mod tests {
         };
         let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
         assert!(matches!(
-            decompress_dataset_f32(&cd),
+            decompress_dataset_t::<f32>(&cd),
             Err(TacError::Codec(CodecError::WrongDtype { .. }))
         ));
         assert_eq!(decompress_dataset_any(&cd).unwrap().dtype(), TacDtype::F64);
@@ -1006,13 +978,12 @@ mod tests {
         };
         let cd = compress_dataset(&ds, &cfg, Method::Auto).unwrap();
         assert_ne!(cd.method(), Method::Auto, "Auto never hits the wire");
-        for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
-            let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
-            assert_eq!(parsed, cd);
-            let out = decompress_dataset(&parsed).unwrap();
-            for (a, b) in ds.levels().iter().zip(out.levels()) {
-                check_level_bound(a, b, 1e-3);
-            }
+        let bytes = cd.to_bytes();
+        let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
+        assert_eq!(parsed, cd);
+        let out = decompress_dataset(&parsed).unwrap();
+        for (a, b) in ds.levels().iter().zip(out.levels()) {
+            check_level_bound(a, b, 1e-3);
         }
         // Selection is deterministic and serial: Auto output is
         // byte-identical for every worker count.
@@ -1035,11 +1006,11 @@ mod tests {
             error_bound: ErrorBound::Abs(1e-3),
             ..Default::default()
         };
-        let cd = compress_dataset_f32(&ds, &cfg, Method::Auto).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Auto).unwrap();
         assert_eq!(cd.dtype, TacDtype::F32);
         assert_ne!(cd.method(), Method::Auto);
         let parsed = CompressedDataset::from_bytes(&cd.to_bytes()).unwrap();
-        let out = decompress_dataset_f32(&parsed).unwrap();
+        let out = decompress_dataset_t::<f32>(&parsed).unwrap();
         for (a, b) in ds.levels().iter().zip(out.levels()) {
             for i in a.mask().iter_ones() {
                 let (x, y) = (a.data()[i], b.data()[i]);
@@ -1070,7 +1041,7 @@ mod tests {
             error_bound: ErrorBound::Rel(1e-16),
             ..Default::default()
         };
-        let err = compress_dataset_f32(&ds, &cfg, Method::Tac).unwrap_err();
+        let err = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap_err();
         assert!(matches!(err, TacError::DegenerateBound { .. }), "{err}");
         // The identical f64 dataset compresses fine.
         let data64: Vec<f64> = (0..512).map(|i| (i as f64) * 1e-33).collect();

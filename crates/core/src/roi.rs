@@ -1,8 +1,8 @@
-//! Region-of-interest decompression over the chunked (v2) container.
+//! Region-of-interest decompression over the chunked (v2+) container.
 //!
 //! In-situ AMR workflows (AMRIC, SC'23) rarely need a whole snapshot
 //! back: a halo finder inspects a subvolume, a visualisation pans
-//! through a slab. The v2 chunk table records a bounding box per chunk,
+//! through a slab. The chunk table records a bounding box per chunk,
 //! so a decoder can seek to — and spend decode time on — only the
 //! chunks whose boxes intersect the request, skipping the rest of the
 //! payload entirely.
@@ -46,8 +46,10 @@ impl RoiStats {
     }
 }
 
-/// Decodes the part of a **v2** container intersecting `roi` (given in
-/// finest-level cell coordinates, half-open).
+/// Decodes the part of a chunked container (the v4 bytes
+/// [`CompressedDataset::to_bytes`] writes, or a legacy v2/v3 one)
+/// intersecting `roi` (given in finest-level cell coordinates,
+/// half-open).
 ///
 /// Returns full-size levels in which every cell covered by a decoded
 /// chunk carries its reconstructed value and every skipped cell is zero
@@ -58,14 +60,6 @@ impl RoiStats {
 /// with [`CompressedDataset::to_bytes`] to upgrade.
 pub fn decompress_region(bytes: &[u8], roi: Aabb) -> Result<(AmrDataset, RoiStats), TacError> {
     decompress_region_t::<f64>(bytes, roi)
-}
-
-/// [`decompress_region`] for `f32` containers.
-pub fn decompress_region_f32(
-    bytes: &[u8],
-    roi: Aabb,
-) -> Result<(AmrDataset<f32>, RoiStats), TacError> {
-    decompress_region_t::<f32>(bytes, roi)
 }
 
 /// Mirrors a finished [`RoiStats`] into the observability counters, so
@@ -319,7 +313,7 @@ mod tests {
         // Drop the last chunk-table entry, keeping the footer
         // consistent: the table now disagrees with the per-level
         // metadata, and both decoders must say so.
-        let row = crate::container::CHUNK_ROW_BYTES_V2;
+        let row = crate::container::CHUNK_ROW_BYTES_V4;
         let prefix = crate::container::CHUNK_COUNT_PREFIX_BYTES;
         let footer = &bytes[bytes.len() - crate::container::TABLE_FOOTER_BYTES..];
         let table_pos = u64::from_le_bytes(footer.try_into().unwrap()) as usize;
@@ -352,12 +346,12 @@ mod tests {
             roi_tile: Some(8),
             ..Default::default()
         };
-        let cd = crate::pipeline::compress_dataset_f32(&ds32, &cfg, Method::Tac).unwrap();
+        let cd = crate::pipeline::compress_dataset_t(&ds32, &cfg, Method::Tac).unwrap();
         let bytes = cd.to_bytes();
         let roi = Aabb::new((0, 0, 0), (8, 8, 8));
-        let (partial, stats) = decompress_region_f32(&bytes, roi).unwrap();
+        let (partial, stats) = decompress_region_t::<f32>(&bytes, roi).unwrap();
         assert!(stats.chunks_read < stats.chunks_total);
-        let full = crate::pipeline::decompress_dataset_f32(
+        let full = crate::pipeline::decompress_dataset_t::<f32>(
             &CompressedDataset::from_bytes(&bytes).unwrap(),
         )
         .unwrap();
@@ -377,14 +371,9 @@ mod tests {
 
     #[test]
     fn v1_containers_are_rejected_for_roi() {
-        let ds = corners_dataset(16);
-        let cfg = TacConfig {
-            unit: 4,
-            error_bound: ErrorBound::Abs(1e-3),
-            ..Default::default()
-        };
-        let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
-        let err = decompress_region(&cd.to_bytes_v1(), Aabb::whole(16)).unwrap_err();
+        let v1 = include_bytes!("../../../tests/data/golden_tac_v1.tacd");
+        assert_eq!(v1[4], crate::container::VERSION_V1);
+        let err = decompress_region(v1, Aabb::whole(16)).unwrap_err();
         assert!(err.to_string().contains("v2"), "{err}");
     }
 }

@@ -137,15 +137,12 @@ pub struct CompressedLevel {
     pub payload: LevelPayload,
 }
 
-// Payload wire tags. 0/1/2 are the legacy (pre-codec) encodings and
-// imply the SZ codec; 3/4 are followed by a codec byte. The writer emits
-// legacy tags for SZ payloads, so default-codec containers stay
-// bit-compatible with pre-codec readers (and the golden fixtures).
-// 5/6/7 are the f32 encodings: nothing before the dtype layer ever
-// wrote them, so an absent f32 tag always means f64 and every legacy
-// container parses unchanged. f32 payloads are post-legacy by
-// construction, so their non-empty tags always carry the codec byte
-// (no untagged-SZ special case to preserve).
+// Payload tags of the read-only v1 (monolithic) container's level
+// records. 0/1/2 are the pre-codec encodings and imply the SZ codec;
+// 3/4 are followed by a codec byte (non-SZ f64 payloads). 5/6/7 are the
+// f32 encodings: nothing before the dtype layer ever wrote them, so an
+// absent f32 tag always means f64. Non-empty f32 tags always carry the
+// codec byte.
 const TAG_EMPTY: u8 = 0;
 const TAG_WHOLE_SZ: u8 = 1;
 const TAG_GROUPS_SZ: u8 = 2;
@@ -177,60 +174,7 @@ const _: () = {
 };
 
 impl CompressedLevel {
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "writer-side width reduction: group counts come from the in-memory plan and are bounded by the grid volume."
-    )]
-    pub(crate) fn write(&self, w: &mut Writer) {
-        w.put_u8(self.strategy.tag());
-        w.put_u64(self.dim as u64);
-        w.put_f64(self.abs_eb);
-        if self.dtype == TacDtype::F32 {
-            match &self.payload {
-                LevelPayload::Empty => w.put_u8(TAG_EMPTY_F32),
-                LevelPayload::Whole(stream) => {
-                    w.put_u8(TAG_WHOLE_F32);
-                    w.put_u8(self.codec.tag());
-                    w.put_blob(stream);
-                }
-                LevelPayload::Groups(groups) => {
-                    w.put_u8(TAG_GROUPS_F32);
-                    w.put_u8(self.codec.tag());
-                    w.put_u32(groups.len() as u32);
-                    for g in groups {
-                        g.write(w);
-                    }
-                }
-            }
-            return;
-        }
-        let legacy = self.codec == CodecId::Sz;
-        match &self.payload {
-            LevelPayload::Empty => w.put_u8(TAG_EMPTY),
-            LevelPayload::Whole(stream) => {
-                if legacy {
-                    w.put_u8(TAG_WHOLE_SZ);
-                } else {
-                    w.put_u8(TAG_WHOLE_TAGGED);
-                    w.put_u8(self.codec.tag());
-                }
-                w.put_blob(stream);
-            }
-            LevelPayload::Groups(groups) => {
-                if legacy {
-                    w.put_u8(TAG_GROUPS_SZ);
-                } else {
-                    w.put_u8(TAG_GROUPS_TAGGED);
-                    w.put_u8(self.codec.tag());
-                }
-                w.put_u32(groups.len() as u32);
-                for g in groups {
-                    g.write(w);
-                }
-            }
-        }
-    }
-
+    /// Parses one level record of a v1 container.
     pub(crate) fn read(r: &mut Reader<'_>) -> Result<Self, TacError> {
         let strategy = Strategy::from_tag(r.get_u8()?)?;
         let dim = r.get_len()?;
@@ -282,7 +226,11 @@ impl CompressedLevel {
         })
     }
 
-    /// Serialized size in bytes.
+    /// Size of the level's record in the v1 (monolithic) layout. Not
+    /// what [`crate::CompressedDataset::to_bytes`] writes today, but the
+    /// per-level byte count that payload compression ratios and
+    /// `Method::Auto`'s candidate scoring are defined over, so its
+    /// value stays fixed.
     #[expect(
         clippy::arithmetic_side_effects,
         reason = "size accounting over buffers already held in RAM."
@@ -321,136 +269,148 @@ mod tests {
         assert_eq!(BlockGroup::read(&mut r).unwrap(), g);
     }
 
-    #[test]
-    fn level_roundtrip_all_payloads_and_codecs() {
-        for codec in CodecId::all() {
-            for payload in [
-                // Empty payloads hold no streams: the engine pins their
-                // codec to the default, and the wire does not tag them.
-                LevelPayload::Whole(vec![9, 9, 9]),
-                LevelPayload::Groups(vec![BlockGroup {
-                    shape: (8, 8, 8),
-                    origins: vec![(8, 0, 0)],
-                    stream: vec![5; 10],
-                }]),
-            ] {
-                let lvl = CompressedLevel {
-                    strategy: Strategy::OpST,
-                    dim: 64,
-                    abs_eb: 1e-3,
-                    codec,
-                    dtype: TacDtype::F64,
-                    payload,
-                };
-                let mut w = Writer::new();
-                lvl.write(&mut w);
-                let bytes = w.into_bytes();
-                assert_eq!(bytes.len(), lvl.total_bytes());
-                let mut r = Reader::new(&bytes);
-                assert_eq!(CompressedLevel::read(&mut r).unwrap(), lvl);
+    /// Hand-assembles one v1 level record (the layout
+    /// [`CompressedLevel::read`] parses): strategy, dim, bound, payload
+    /// tag, the codec byte if given, then the payload body.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "test groups are a handful of entries"
+    )]
+    fn record(lvl: &CompressedLevel, tag: u8, codec_byte: Option<u8>) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u8(lvl.strategy.tag());
+        w.put_u64(lvl.dim as u64);
+        w.put_f64(lvl.abs_eb);
+        w.put_u8(tag);
+        if let Some(c) = codec_byte {
+            w.put_u8(c);
+        }
+        match &lvl.payload {
+            LevelPayload::Empty => {}
+            LevelPayload::Whole(stream) => w.put_blob(stream),
+            LevelPayload::Groups(groups) => {
+                w.put_u32(groups.len() as u32);
+                for g in groups {
+                    g.write(&mut w);
+                }
             }
         }
-        // Empty payloads roundtrip with the canonical default codec.
-        let empty = CompressedLevel {
-            strategy: Strategy::Empty,
-            dim: 8,
-            abs_eb: 0.0,
-            codec: CodecId::default(),
-            dtype: TacDtype::F64,
-            payload: LevelPayload::Empty,
-        };
-        let mut w = Writer::new();
-        empty.write(&mut w);
-        let bytes = w.into_bytes();
+        w.into_bytes()
+    }
+
+    fn read_record(bytes: &[u8]) -> Result<CompressedLevel, TacError> {
+        let mut r = Reader::new(bytes);
+        let lvl = CompressedLevel::read(&mut r)?;
+        assert_eq!(r.remaining(), 0, "record not consumed exactly");
+        Ok(lvl)
+    }
+
+    fn level(codec: CodecId, dtype: TacDtype, payload: LevelPayload) -> CompressedLevel {
+        CompressedLevel {
+            strategy: Strategy::OpST,
+            dim: 64,
+            abs_eb: 1e-3,
+            codec,
+            dtype,
+            payload,
+        }
+    }
+
+    fn group_payload() -> LevelPayload {
+        LevelPayload::Groups(vec![BlockGroup {
+            shape: (8, 8, 8),
+            origins: vec![(8, 0, 0)],
+            stream: vec![5; 10],
+        }])
+    }
+
+    #[test]
+    fn level_roundtrip_all_payloads_and_codecs() {
+        // Every f64 record reads back as the level it encodes, and
+        // `total_bytes` is exactly the record's size: SZ payloads use the
+        // untagged tags, other codecs the tagged ones plus a codec byte.
+        for codec in CodecId::all() {
+            let tagged = codec != CodecId::Sz;
+            for (payload, sz_tag, tagged_tag) in [
+                (
+                    LevelPayload::Whole(vec![9, 9, 9]),
+                    TAG_WHOLE_SZ,
+                    TAG_WHOLE_TAGGED,
+                ),
+                (group_payload(), TAG_GROUPS_SZ, TAG_GROUPS_TAGGED),
+            ] {
+                let lvl = level(codec, TacDtype::F64, payload);
+                let bytes = if tagged {
+                    record(&lvl, tagged_tag, Some(codec.tag()))
+                } else {
+                    record(&lvl, sz_tag, None)
+                };
+                assert_eq!(bytes.len(), lvl.total_bytes(), "{codec}");
+                assert_eq!(read_record(&bytes).unwrap(), lvl, "{codec}");
+            }
+        }
+        // Empty payloads carry no codec byte and read as the canonical
+        // default codec.
+        let empty = level(CodecId::default(), TacDtype::F64, LevelPayload::Empty);
+        let bytes = record(&empty, TAG_EMPTY, None);
         assert_eq!(bytes.len(), empty.total_bytes());
-        let mut r = Reader::new(&bytes);
-        assert_eq!(CompressedLevel::read(&mut r).unwrap(), empty);
+        assert_eq!(read_record(&bytes).unwrap(), empty);
     }
 
     #[test]
     fn sz_levels_use_the_legacy_untagged_encoding() {
-        // Byte 17 is the payload tag (strategy u8 + dim u64 + eb f64).
-        let lvl = |codec| CompressedLevel {
-            strategy: Strategy::Gsp,
-            dim: 8,
-            abs_eb: 1e-3,
-            codec,
-            dtype: TacDtype::F64,
-            payload: LevelPayload::Whole(vec![1, 2, 3]),
-        };
-        let bytes_of = |l: &CompressedLevel| {
-            let mut w = Writer::new();
-            l.write(&mut w);
-            w.into_bytes()
-        };
-        let sz = bytes_of(&lvl(CodecId::Sz));
-        assert_eq!(sz[17], 1, "SZ payloads keep the pre-codec tag");
-        let pco = bytes_of(&lvl(CodecId::PcoLite));
-        assert_eq!(pco[17], 3, "tagged payloads use the extended tag");
-        assert_eq!(pco[18], CodecId::PcoLite.tag());
-        assert_eq!(pco.len(), sz.len() + 1);
+        // The pre-codec tags carry no codec byte and mean SZ; a tagged
+        // record is one byte longer and names its codec.
+        let sz = level(
+            CodecId::Sz,
+            TacDtype::F64,
+            LevelPayload::Whole(vec![1, 2, 3]),
+        );
+        let sz_bytes = record(&sz, TAG_WHOLE_SZ, None);
+        assert_eq!(read_record(&sz_bytes).unwrap().codec, CodecId::Sz);
+        let pco = level(
+            CodecId::PcoLite,
+            TacDtype::F64,
+            LevelPayload::Whole(vec![1, 2, 3]),
+        );
+        let pco_bytes = record(&pco, TAG_WHOLE_TAGGED, Some(CodecId::PcoLite.tag()));
+        assert_eq!(read_record(&pco_bytes).unwrap(), pco);
+        assert_eq!(pco_bytes.len(), sz_bytes.len() + 1);
+        assert_eq!(pco.total_bytes(), sz.total_bytes() + 1);
     }
 
     #[test]
     fn f32_levels_use_their_own_tags_and_roundtrip() {
         for codec in CodecId::all() {
-            for (payload, want_tag) in [
+            for (payload, tag) in [
                 (LevelPayload::Empty, TAG_EMPTY_F32),
                 (LevelPayload::Whole(vec![9, 9]), TAG_WHOLE_F32),
-                (
-                    LevelPayload::Groups(vec![BlockGroup {
-                        shape: (4, 4, 4),
-                        origins: vec![(0, 0, 0)],
-                        stream: vec![7; 6],
-                    }]),
-                    TAG_GROUPS_F32,
-                ),
+                (group_payload(), TAG_GROUPS_F32),
             ] {
-                let lvl = CompressedLevel {
-                    strategy: Strategy::OpST,
-                    dim: 16,
-                    abs_eb: 1e-2,
-                    // Empty payloads pin the canonical default codec.
-                    codec: if payload == LevelPayload::Empty {
-                        CodecId::default()
-                    } else {
-                        codec
-                    },
-                    dtype: TacDtype::F32,
-                    payload,
-                };
-                let mut w = Writer::new();
-                lvl.write(&mut w);
-                let bytes = w.into_bytes();
-                assert_eq!(bytes.len(), lvl.total_bytes());
-                // Byte 17 is the payload tag (strategy u8 + dim u64 + eb f64).
-                assert_eq!(bytes[17], want_tag);
-                if want_tag != TAG_EMPTY_F32 {
-                    assert_eq!(bytes[18], lvl.codec.tag(), "f32 always tags its codec");
-                }
-                let mut r = Reader::new(&bytes);
-                assert_eq!(CompressedLevel::read(&mut r).unwrap(), lvl);
+                // Empty payloads pin the canonical default codec and
+                // carry no codec byte; the others always tag it, SZ too.
+                let empty = payload == LevelPayload::Empty;
+                let codec = if empty { CodecId::default() } else { codec };
+                let lvl = level(codec, TacDtype::F32, payload);
+                let bytes = record(&lvl, tag, (!empty).then(|| codec.tag()));
+                assert_eq!(bytes.len(), lvl.total_bytes(), "{codec} tag {tag}");
+                assert_eq!(read_record(&bytes).unwrap(), lvl, "{codec} tag {tag}");
             }
         }
     }
 
     #[test]
     fn unknown_codec_byte_is_rejected() {
-        let lvl = CompressedLevel {
-            strategy: Strategy::OpST,
-            dim: 8,
-            abs_eb: 1e-3,
-            codec: CodecId::PcoLite,
-            dtype: TacDtype::F64,
-            payload: LevelPayload::Whole(vec![1, 2, 3]),
-        };
-        let mut w = Writer::new();
-        lvl.write(&mut w);
-        let mut bytes = w.into_bytes();
-        bytes[18] = 200; // codec byte
-        let mut r = Reader::new(&bytes);
-        let err = CompressedLevel::read(&mut r).unwrap_err();
+        let lvl = level(
+            CodecId::PcoLite,
+            TacDtype::F64,
+            LevelPayload::Whole(vec![1, 2, 3]),
+        );
+        let err = read_record(&record(&lvl, TAG_WHOLE_TAGGED, Some(200))).unwrap_err();
         assert!(matches!(err, TacError::Codec(_)), "{err}");
+        // So is a payload tag beyond the eight defined ones.
+        let err = read_record(&record(&lvl, TAG_GROUPS_F32 + 1, None)).unwrap_err();
+        assert!(matches!(err, TacError::Corrupt(_)), "{err}");
     }
 
     #[test]

@@ -320,16 +320,27 @@ impl Recorder for ObsSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
 
-    fn setup() -> &'static ObsSession {
+    /// The tests share the process-global session while the harness runs
+    /// them on parallel threads, so one test's `reset()` would wipe
+    /// another's counters mid-run. Each test holds this lock throughout.
+    static SESSION_LOCK: Mutex<()> = Mutex::new(());
+
+    fn setup() -> (MutexGuard<'static, ()>, &'static ObsSession) {
+        // A test that failed while holding the lock poisons it; the lock
+        // guards no data and the session is reset below, so carry on.
+        let guard = SESSION_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let s = install();
         s.reset();
-        s
+        (guard, s)
     }
 
     #[test]
     fn nested_spans_account_self_time_exactly() {
-        let s = setup();
+        let (_session, s) = setup();
         {
             let _outer = crate::span(Stage::Compress).arg("level", 2usize);
             std::thread::sleep(std::time::Duration::from_millis(2));
@@ -368,7 +379,7 @@ mod tests {
 
     #[test]
     fn counters_merge_across_threads() {
-        let s = setup();
+        let (_session, s) = setup();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
@@ -387,7 +398,7 @@ mod tests {
 
     #[test]
     fn histogram_observations_clamp_and_merge() {
-        let s = setup();
+        let (_session, s) = setup();
         crate::hist(HistKind::PcoPageBits, 12);
         crate::hist(HistKind::PcoPageBits, 12);
         crate::hist(HistKind::PcoPageBits, 1000); // clamps to last bucket
@@ -400,7 +411,7 @@ mod tests {
 
     #[test]
     fn reset_clears_all_shards() {
-        let s = setup();
+        let (_session, s) = setup();
         crate::add(Counter::ExecTasks, 7);
         {
             let _g = crate::span(Stage::Plan);

@@ -1,8 +1,10 @@
 //! Structure-aware mutational fuzzing of the container wire formats.
 //!
 //! The corpus is a set of **valid** containers (several scenarios x
-//! methods x codecs x wire versions), so mutations start from deep
-//! inside the accepting grammar instead of dying at the magic check.
+//! methods x codecs through today's v4 writer, plus the frozen v1–v3
+//! golden fixtures that keep the legacy parsers under mutation), so
+//! mutations start from deep inside the accepting grammar instead of
+//! dying at the magic check.
 //! Each iteration picks a corpus item, applies a seeded stack of
 //! mutations (bit flips, field overwrites with boundary integers,
 //! truncations, splices between corpus items, targeted header/footer
@@ -21,9 +23,23 @@ use crate::scenario::scenario;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tac_amr::Aabb;
 use tac_core::{
-    compress_dataset, decompress_dataset_any, decompress_region, decompress_region_f32, AnyDataset,
+    compress_dataset, decompress_dataset_any, decompress_region, decompress_region_t, AnyDataset,
     CodecId, CompressedDataset, Element, Method, TacConfig, CHUNK_ROW_BYTES_V4,
 };
+
+/// The frozen v1–v3 golden fixtures (`tests/data/`): the corpus's only
+/// legacy bytes, since the writer emits v4 alone.
+const LEGACY_FIXTURES: [&[u8]; 9] = [
+    include_bytes!("../../../tests/data/golden_ans_v1.tacd"),
+    include_bytes!("../../../tests/data/golden_auto_v1.tacd"),
+    include_bytes!("../../../tests/data/golden_b1d_v1.tacd"),
+    include_bytes!("../../../tests/data/golden_b1d_v2.tacd"),
+    include_bytes!("../../../tests/data/golden_f32_v1.tacd"),
+    include_bytes!("../../../tests/data/golden_mix_v1.tacd"),
+    include_bytes!("../../../tests/data/golden_mix_v3.tacd"),
+    include_bytes!("../../../tests/data/golden_tac_v1.tacd"),
+    include_bytes!("../../../tests/data/golden_tac_v2.tacd"),
+];
 
 /// Fuzz-run parameters.
 #[derive(Debug, Clone, Copy)]
@@ -106,9 +122,9 @@ impl FuzzOutcome {
 
 /// Builds the corpus of valid containers the mutations start from:
 /// three small scenarios, all four methods, every registered codec
-/// where it adds a wire difference, and both container versions.
+/// where it adds a wire difference, and the legacy golden fixtures.
 pub fn corpus() -> Vec<Vec<u8>> {
-    let mut out = Vec::new();
+    let mut out: Vec<Vec<u8>> = LEGACY_FIXTURES.iter().map(|f| f.to_vec()).collect();
     for name in ["tiny-extremes", "degenerate-corner", "spike-field"] {
         let spec = scenario(name).expect("registered scenario");
         let ds = spec.build(1);
@@ -118,8 +134,7 @@ pub fn corpus() -> Vec<Vec<u8>> {
                 ..spec.config()
             };
             let cd = compress_dataset(&ds, &cfg, Method::Tac).expect("corpus compress");
-            out.push(cd.to_bytes()); // v2 for SZ, v3 for pco-lite
-            out.push(cd.to_bytes_v1());
+            out.push(cd.to_bytes());
         }
         let cfg = spec.config();
         for method in [Method::Baseline1D, Method::ZMesh, Method::Baseline3D] {
@@ -131,11 +146,9 @@ pub fn corpus() -> Vec<Vec<u8>> {
         // arise through this path, so mutations should start from one.
         let cd = compress_dataset(&ds, &cfg, Method::Auto).expect("corpus compress");
         out.push(cd.to_bytes());
-        out.push(cd.to_bytes_v1());
     }
-    // f32 containers: the v4 wire (header dtype tag + per-row tags) and
-    // its monolithic v1 sibling join the corpus, so mutations reach the
-    // dtype-validation paths too.
+    // f32 containers join the corpus, so mutations reach the
+    // dtype-validation paths (header dtype tag, per-row tags) too.
     for name in ["tiny-extremes-f32", "checkerboard-f32"] {
         let spec = scenario(name).expect("registered scenario");
         let ds = crate::conformance::narrow_to_f32(&spec.build(1));
@@ -145,10 +158,9 @@ pub fn corpus() -> Vec<Vec<u8>> {
                 ..spec.config()
             };
             let cd = tac_core::compress_dataset_t(&ds, &cfg, Method::Tac).expect("corpus compress");
-            out.push(cd.to_bytes()); // v4
-            out.push(cd.to_bytes_v1());
+            out.push(cd.to_bytes());
         }
-        // An adaptively-selected f32 container joins the v4 corpus too.
+        // An adaptively-selected f32 container joins the corpus too.
         let cd = tac_core::compress_dataset_t(&ds, &spec.config(), Method::Auto)
             .expect("corpus compress");
         out.push(cd.to_bytes());
@@ -168,7 +180,7 @@ pub fn probe_container(bytes: &[u8]) -> ProbeResult {
         // Region decode must fail or succeed cleanly whatever the bytes
         // — through both monomorphizations.
         let _ = decompress_region(bytes, Aabb::new((0, 0, 0), (2, 2, 2)));
-        let _ = decompress_region_f32(bytes, Aabb::new((0, 0, 0), (2, 2, 2)));
+        let _ = decompress_region_t::<f32>(bytes, Aabb::new((0, 0, 0), (2, 2, 2)));
         match CompressedDataset::from_bytes(bytes) {
             Err(_) => Err(()),
             // Decode at whatever element type the container declares.
@@ -207,7 +219,6 @@ fn check_coherence<T: Element>(
     // Accepted containers must re-serialize without panicking (the
     // writer trusts parsed state).
     let _ = cd.to_bytes();
-    let _ = cd.to_bytes_v1();
     Ok(None)
 }
 
@@ -457,6 +468,22 @@ mod tests {
                 "corpus item {i}"
             );
         }
+    }
+
+    #[test]
+    fn corpus_holds_every_container_version() {
+        let mut versions: Vec<u8> = corpus().iter().map(|bytes| bytes[4]).collect();
+        versions.sort_unstable();
+        versions.dedup();
+        assert_eq!(
+            versions,
+            [
+                tac_core::VERSION_V1,
+                tac_core::VERSION_V2,
+                tac_core::VERSION_V3,
+                tac_core::VERSION_V4
+            ]
+        );
     }
 
     #[test]

@@ -12,13 +12,17 @@
 //! same way: a TAC container whose fine level is pco-lite-compressed
 //! while the rest stays on SZ, serialized right after the format landed.
 //!
-//! Regenerating (only when intentionally breaking compatibility):
+//! The writer emits only v4 now, so the v1–v3 fixtures are frozen: no
+//! code can produce them again, and only the readers are pinned by
+//! them. The v4 fixtures also pin the writer (re-serialization must
+//! reproduce them byte for byte). Regenerating the v4 fixtures (only
+//! when intentionally breaking compatibility):
 //! `cargo test -p tac-bench --test golden_compat -- --ignored --nocapture`
 
 use std::path::PathBuf;
 use tac_amr::{AmrDataset, AmrLevel};
 use tac_core::{
-    compress_dataset, compress_dataset_f32, decompress_dataset, decompress_dataset_f32, CodecId,
+    compress_dataset, compress_dataset_t, decompress_dataset, decompress_dataset_t, CodecId,
     CompressedDataset, Method, MethodBody, TacConfig, TacDtype,
 };
 use tac_sz::ErrorBound;
@@ -108,22 +112,8 @@ fn fixture_config() -> TacConfig {
     }
 }
 
-/// Serializes per-level reconstructions: u32 level count, then per level
-/// a u64 dim followed by dim^3 f64 bit patterns, all little-endian.
-fn encode_expected(ds: &AmrDataset) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend((ds.num_levels() as u32).to_le_bytes());
-    for level in ds.levels() {
-        out.extend((level.dim() as u64).to_le_bytes());
-        for &v in level.data() {
-            out.extend(v.to_bits().to_le_bytes());
-        }
-    }
-    out
-}
-
-/// f32 flavour of [`encode_expected`]: u32 level count, then per level a
-/// u64 dim followed by dim^3 f32 bit patterns, all little-endian.
+/// Serializes per-level `f32` reconstructions: u32 level count, then per
+/// level a u64 dim followed by dim^3 f32 bit patterns, all little-endian.
 fn encode_expected_f32(ds: &AmrDataset<f32>) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend((ds.num_levels() as u32).to_le_bytes());
@@ -174,60 +164,15 @@ fn decode_expected(bytes: &[u8]) -> Vec<(usize, Vec<f64>)> {
         .collect()
 }
 
-/// The mixed-codec fixture container: the TAC compression of the fixture
-/// dataset with the fine level's streams produced by pco-lite and the
-/// coarser levels by SZ. `to_bytes()` must promote such a container to
-/// v3 — the per-level/per-chunk codec-tagged format this fixture pins.
-fn fixture_mixed_dataset() -> CompressedDataset {
-    let ds = fixture_dataset();
-    let sz = compress_dataset(&ds, &fixture_config(), Method::Tac).unwrap();
-    let pco = compress_dataset(
-        &ds,
-        &TacConfig {
-            codec: CodecId::PcoLite,
-            ..fixture_config()
-        },
-        Method::Tac,
-    )
-    .unwrap();
-    let mut mixed = sz;
-    let (MethodBody::Tac(levels), MethodBody::Tac(pco_levels)) = (&mut mixed.body, pco.body) else {
-        unreachable!("TAC compression produced a non-TAC body");
-    };
-    levels[0] = pco_levels.into_iter().next().unwrap();
-    mixed
-}
-
 /// The PcoAns mixed-codec fixture container: the fine level's streams
 /// produced by pco-ans (the tabled-ANS backend) and the coarser levels
-/// by SZ. Pins the `TPA1` stream wire — bin tables, lane seed states,
-/// renorm words, offset stream — inside both container generations.
-fn fixture_ans_dataset() -> CompressedDataset {
-    let ds = fixture_dataset();
-    let sz = compress_dataset(&ds, &fixture_config(), Method::Tac).unwrap();
-    let ans = compress_dataset(
-        &ds,
-        &TacConfig {
-            codec: CodecId::PcoAns,
-            ..fixture_config()
-        },
-        Method::Tac,
-    )
-    .unwrap();
-    let mut mixed = sz;
-    let (MethodBody::Tac(levels), MethodBody::Tac(ans_levels)) = (&mut mixed.body, ans.body) else {
-        unreachable!("TAC compression produced a non-TAC body");
-    };
-    levels[0] = ans_levels.into_iter().next().unwrap();
-    mixed
-}
-
-/// The f32 flavour of [`fixture_ans_dataset`], whose chunked encoding
-/// promotes to the dtype-tagged v4 container.
+/// by SZ, over the `f32` fixture dataset. Pins the `TPA1` stream wire —
+/// bin tables, lane seed states, renorm words, offset stream — inside
+/// the v4 container.
 fn fixture_ans_dataset_f32() -> CompressedDataset {
     let ds = fixture_dataset_f32();
-    let sz = compress_dataset_f32(&ds, &fixture_config(), Method::Tac).unwrap();
-    let ans = compress_dataset_f32(
+    let sz = compress_dataset_t(&ds, &fixture_config(), Method::Tac).unwrap();
+    let ans = compress_dataset_t(
         &ds,
         &TacConfig {
             codec: CodecId::PcoAns,
@@ -323,7 +268,7 @@ fn check_golden_f32(stem: &str, version: &str) {
     let cd = CompressedDataset::from_bytes(&bytes)
         .unwrap_or_else(|e| panic!("{stem}_{version} no longer parses: {e}"));
     assert_eq!(cd.dtype, TacDtype::F32);
-    let out = decompress_dataset_f32(&cd).unwrap();
+    let out = decompress_dataset_t::<f32>(&cd).unwrap();
     assert_eq!(out.num_levels(), expected.len());
     for (l, ((dim, want), level)) in expected.iter().zip(out.levels()).enumerate() {
         assert_eq!(level.dim(), *dim, "level {l} dim");
@@ -379,9 +324,6 @@ fn golden_mix_v3_fixture_is_mixed_codec() {
     let codecs: Vec<CodecId> = levels.iter().map(|l| l.codec).collect();
     assert!(codecs.contains(&CodecId::PcoLite), "{codecs:?}");
     assert!(codecs.contains(&CodecId::Sz), "{codecs:?}");
-    // Re-serializing the parsed container reproduces the fixture bytes:
-    // the writer, not just the reader, is pinned.
-    assert_eq!(cd.to_bytes(), bytes);
 }
 
 #[test]
@@ -392,7 +334,7 @@ fn golden_ans_v1_decodes_bit_exactly() {
 }
 
 /// The v1 ANS fixture really is mixed-codec: both pco-ans and SZ appear
-/// across the parsed levels, and the writer reproduces the bytes.
+/// across the parsed levels.
 #[test]
 fn golden_ans_v1_fixture_is_mixed_codec() {
     let bytes = std::fs::read(data_dir().join("golden_ans_v1.tacd")).unwrap();
@@ -405,7 +347,6 @@ fn golden_ans_v1_fixture_is_mixed_codec() {
     let codecs: Vec<CodecId> = levels.iter().map(|l| l.codec).collect();
     assert!(codecs.contains(&CodecId::PcoAns), "{codecs:?}");
     assert!(codecs.contains(&CodecId::Sz), "{codecs:?}");
-    assert_eq!(cd.to_bytes_v1(), bytes);
 }
 
 /// The v4 ANS fixture: a dtype-tagged (f32) chunked container whose
@@ -434,7 +375,7 @@ fn golden_ans_v4_decodes_bit_exactly() {
     assert_eq!(cd.to_bytes(), bytes);
     assert!(decompress_dataset(&cd).is_err(), "f64 decode must refuse");
 
-    let out = decompress_dataset_f32(&cd).unwrap();
+    let out = decompress_dataset_t::<f32>(&cd).unwrap();
     assert_eq!(out.num_levels(), expected.len());
     for (l, ((dim, want), level)) in expected.iter().zip(out.levels()).enumerate() {
         assert_eq!(level.dim(), *dim, "level {l} dim");
@@ -453,7 +394,7 @@ fn golden_ans_v4_decodes_bit_exactly() {
 /// `Method::Auto` picked when the fixture was baselined, pinned as
 /// ordinary container bytes. Decoding needs no knowledge of the
 /// selection — and re-running today's selection must reproduce the
-/// pinned bytes, so the determinism contract is itself under pin.
+/// pinned container, so the determinism contract is itself under pin.
 #[test]
 fn golden_auto_v1_decodes_bit_exactly() {
     let dir = data_dir();
@@ -464,7 +405,6 @@ fn golden_auto_v1_decodes_bit_exactly() {
     let cd = CompressedDataset::from_bytes(&bytes)
         .unwrap_or_else(|e| panic!("golden_auto_v1 no longer parses: {e}"));
     assert_ne!(cd.method(), Method::Auto, "Auto never reaches the wire");
-    assert_eq!(cd.to_bytes_v1(), bytes);
     let out = decompress_dataset(&cd).unwrap();
     assert_eq!(out.num_levels(), expected.len());
     for (l, ((dim, want), level)) in expected.iter().zip(out.levels()).enumerate() {
@@ -480,14 +420,13 @@ fn golden_auto_v1_decodes_bit_exactly() {
     // The selection itself is deterministic across revisions.
     let again = compress_dataset(&fixture_dataset(), &fixture_config(), Method::Auto).unwrap();
     assert_eq!(
-        again.to_bytes_v1(),
-        bytes,
+        again, cd,
         "today's selection no longer reproduces the pinned container"
     );
 }
 
-/// The f32 flavour: the adaptively-selected container promotes to the
-/// dtype-tagged v4 wire like any fixed-method f32 container.
+/// The f32 flavour: the adaptively-selected container serializes as the
+/// dtype-tagged v4 wire like any other container.
 #[test]
 fn golden_auto_v4_decodes_bit_exactly() {
     let dir = data_dir();
@@ -504,7 +443,7 @@ fn golden_auto_v4_decodes_bit_exactly() {
     assert_ne!(cd.method(), Method::Auto, "Auto never reaches the wire");
     assert_eq!(cd.to_bytes(), bytes);
     assert!(decompress_dataset(&cd).is_err(), "f64 decode must refuse");
-    let out = decompress_dataset_f32(&cd).unwrap();
+    let out = decompress_dataset_t::<f32>(&cd).unwrap();
     assert_eq!(out.num_levels(), expected.len());
     for (l, ((dim, want), level)) in expected.iter().zip(out.levels()).enumerate() {
         assert_eq!(level.dim(), *dim, "level {l} dim");
@@ -517,7 +456,7 @@ fn golden_auto_v4_decodes_bit_exactly() {
         }
     }
     let again =
-        compress_dataset_f32(&fixture_dataset_f32(), &fixture_config(), Method::Auto).unwrap();
+        compress_dataset_t(&fixture_dataset_f32(), &fixture_config(), Method::Auto).unwrap();
     assert_eq!(
         again.to_bytes(),
         bytes,
@@ -525,71 +464,19 @@ fn golden_auto_v4_decodes_bit_exactly() {
     );
 }
 
-/// Writes the fixtures from whatever code base is currently checked out.
-/// Deliberately `#[ignore]`d: running it against a revision with a
-/// different wire format would erase the evidence the tests above exist
-/// to preserve.
-#[test]
-#[ignore = "regenerates the golden fixtures; run only to intentionally re-baseline"]
-fn regenerate_golden_fixtures() {
-    let ds = fixture_dataset();
-    let cfg = fixture_config();
-    let dir = data_dir();
-    std::fs::create_dir_all(&dir).unwrap();
-    for method in [Method::Tac, Method::Baseline1D] {
-        let stem = method_stem(method);
-        let cd = compress_dataset(&ds, &cfg, method).unwrap();
-        std::fs::write(dir.join(format!("{stem}_v1.tacd")), cd.to_bytes_v1()).unwrap();
-        std::fs::write(dir.join(format!("{stem}_v2.tacd")), cd.to_bytes()).unwrap();
-        let recon = decompress_dataset(&cd).unwrap();
-        std::fs::write(
-            dir.join(format!("{stem}_expected.bin")),
-            encode_expected(&recon),
-        )
-        .unwrap();
-        println!("wrote {stem} fixtures to {}", dir.display());
-    }
-}
-
-/// Writes only the mixed-codec v3 fixtures. Separate from
-/// [`regenerate_golden_fixtures`] so re-baselining the v3 format never
-/// silently rewrites the pre-refactor v1/v2 bytes (and vice versa).
-#[test]
-#[ignore = "regenerates the v3 golden fixtures; run only to intentionally re-baseline"]
-fn regenerate_golden_v3_fixtures() {
-    let mixed = fixture_mixed_dataset();
-    let bytes = mixed.to_bytes();
-    assert_eq!(bytes[4], 3, "mixed container did not promote to v3");
-    let dir = data_dir();
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("golden_mix_v3.tacd"), &bytes).unwrap();
-    std::fs::write(dir.join("golden_mix_v1.tacd"), mixed.to_bytes_v1()).unwrap();
-    let recon = decompress_dataset(&mixed).unwrap();
-    std::fs::write(dir.join("golden_mix_expected.bin"), encode_expected(&recon)).unwrap();
-    println!("wrote golden_mix fixtures to {}", dir.display());
-}
-
-/// Writes only the PcoAns mixed-codec fixtures (`golden_ans_v1` — f64,
-/// monolithic — and `golden_ans_v4` — f32, dtype-tagged chunked), each
-/// with its bit-exact expected reconstruction. Separate from the other
-/// regenerators so re-baselining the ANS wire never silently rewrites
-/// the pre-ANS fixtures (and vice versa).
+/// Writes the PcoAns v4 fixture (`golden_ans_v4` — f32, dtype-tagged
+/// chunked) and its bit-exact expected reconstruction, from whatever
+/// code base is currently checked out. Deliberately `#[ignore]`d, and
+/// separate per fixture family, so re-baselining one never silently
+/// rewrites another; the frozen v1–v3 fixtures have no regenerator.
 #[test]
 #[ignore = "regenerates the pco-ans golden fixtures; run only to intentionally re-baseline"]
 fn regenerate_golden_ans_fixtures() {
     let dir = data_dir();
     std::fs::create_dir_all(&dir).unwrap();
-
-    let mixed = fixture_ans_dataset();
-    std::fs::write(dir.join("golden_ans_v1.tacd"), mixed.to_bytes_v1()).unwrap();
-    let recon = decompress_dataset(&mixed).unwrap();
-    std::fs::write(dir.join("golden_ans_expected.bin"), encode_expected(&recon)).unwrap();
-
     let mixed32 = fixture_ans_dataset_f32();
-    let bytes = mixed32.to_bytes();
-    assert_eq!(bytes[4], 4, "f32 container did not promote to v4");
-    std::fs::write(dir.join("golden_ans_v4.tacd"), &bytes).unwrap();
-    let recon32 = decompress_dataset_f32(&mixed32).unwrap();
+    std::fs::write(dir.join("golden_ans_v4.tacd"), mixed32.to_bytes()).unwrap();
+    let recon32 = decompress_dataset_t::<f32>(&mixed32).unwrap();
     std::fs::write(
         dir.join("golden_ans_f32_expected.bin"),
         encode_expected_f32(&recon32),
@@ -598,32 +485,16 @@ fn regenerate_golden_ans_fixtures() {
     println!("wrote golden_ans fixtures to {}", dir.display());
 }
 
-/// Writes only the adaptive-selection fixtures (`golden_auto_v1` — f64,
-/// monolithic — and `golden_auto_v4` — f32, dtype-tagged chunked), each
-/// with its bit-exact expected reconstruction. Separate from the other
-/// regenerators so re-baselining the selection pass never silently
-/// rewrites the fixed-method fixtures (and vice versa).
+/// Writes the adaptive-selection v4 fixture (`golden_auto_v4` — f32,
+/// dtype-tagged chunked) and its bit-exact expected reconstruction.
 #[test]
 #[ignore = "regenerates the auto-selection golden fixtures; run only to intentionally re-baseline"]
 fn regenerate_golden_auto_fixtures() {
     let dir = data_dir();
     std::fs::create_dir_all(&dir).unwrap();
-
-    let cd = compress_dataset(&fixture_dataset(), &fixture_config(), Method::Auto).unwrap();
-    std::fs::write(dir.join("golden_auto_v1.tacd"), cd.to_bytes_v1()).unwrap();
-    let recon = decompress_dataset(&cd).unwrap();
-    std::fs::write(
-        dir.join("golden_auto_expected.bin"),
-        encode_expected(&recon),
-    )
-    .unwrap();
-
-    let cd32 =
-        compress_dataset_f32(&fixture_dataset_f32(), &fixture_config(), Method::Auto).unwrap();
-    let bytes = cd32.to_bytes();
-    assert_eq!(bytes[4], 4, "f32 container did not promote to v4");
-    std::fs::write(dir.join("golden_auto_v4.tacd"), &bytes).unwrap();
-    let recon32 = decompress_dataset_f32(&cd32).unwrap();
+    let cd32 = compress_dataset_t(&fixture_dataset_f32(), &fixture_config(), Method::Auto).unwrap();
+    std::fs::write(dir.join("golden_auto_v4.tacd"), cd32.to_bytes()).unwrap();
+    let recon32 = decompress_dataset_t::<f32>(&cd32).unwrap();
     std::fs::write(
         dir.join("golden_auto_f32_expected.bin"),
         encode_expected_f32(&recon32),
@@ -632,21 +503,18 @@ fn regenerate_golden_auto_fixtures() {
     println!("wrote golden_auto fixtures to {}", dir.display());
 }
 
-/// Writes only the f32/v4 fixtures. Separate for the same reason as the
-/// v3 regenerator: re-baselining the dtype-tagged format must never
-/// silently rewrite the older fixtures.
+/// Writes the f32/v4 fixture and its expected reconstruction. The
+/// expected file is shared with the frozen `golden_f32_v1` fixture, so
+/// a re-baseline that changes the reconstruction fails that test.
 #[test]
 #[ignore = "regenerates the v4 golden fixtures; run only to intentionally re-baseline"]
 fn regenerate_golden_v4_fixtures() {
     let ds = fixture_dataset_f32();
-    let cd = compress_dataset_f32(&ds, &fixture_config(), Method::Tac).unwrap();
-    let bytes = cd.to_bytes();
-    assert_eq!(bytes[4], 4, "f32 container did not promote to v4");
+    let cd = compress_dataset_t(&ds, &fixture_config(), Method::Tac).unwrap();
     let dir = data_dir();
     std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("golden_f32_v4.tacd"), &bytes).unwrap();
-    std::fs::write(dir.join("golden_f32_v1.tacd"), cd.to_bytes_v1()).unwrap();
-    let recon = decompress_dataset_f32(&cd).unwrap();
+    std::fs::write(dir.join("golden_f32_v4.tacd"), cd.to_bytes()).unwrap();
+    let recon = decompress_dataset_t::<f32>(&cd).unwrap();
     std::fs::write(
         dir.join("golden_f32_expected.bin"),
         encode_expected_f32(&recon),

@@ -1,5 +1,5 @@
 //! Cross-crate integration for the block-sharded parallel engine and
-//! the chunked (v2/v3) container: determinism across worker counts for
+//! the chunked (v4) container: determinism across worker counts for
 //! every method x codec combination, parallel decompression
 //! consistency, byte-counted region-of-interest decoding, and
 //! codec-tag corruption handling.
@@ -7,7 +7,8 @@
 use tac_amr::{Aabb, AmrDataset};
 use tac_core::{
     compress_dataset, decompress_dataset, decompress_dataset_par, decompress_region, CodecId,
-    CompressedDataset, Method, MethodBody, Parallelism, TacConfig,
+    CompressedDataset, Method, MethodBody, Parallelism, TacConfig, CHUNK_COUNT_PREFIX_BYTES,
+    CHUNK_ROW_BYTES_V4, TABLE_FOOTER_BYTES, VERSION_V1, VERSION_V2, VERSION_V4,
 };
 use tac_nyx::{entry, FieldKind};
 use tac_sz::ErrorBound;
@@ -63,8 +64,8 @@ fn parallel_output_is_byte_identical_for_all_methods_and_codecs() {
     }
 }
 
-/// Both codecs honour the error bound end to end, for every method,
-/// through both container serializations.
+/// Every codec honours the error bound end to end, for every method,
+/// through the container serialization.
 #[test]
 fn method_codec_matrix_respects_error_bound() {
     let ds = small_z10();
@@ -88,22 +89,21 @@ fn method_codec_matrix_respects_error_bound() {
         ] {
             let per_level = matches!(method, Method::Tac | Method::Baseline1D);
             let cd = compress_dataset(&ds, &cfg, method).unwrap();
-            for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
-                let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
-                assert_eq!(parsed, cd, "{method:?}/{codec}");
-                let out = decompress_dataset(&parsed).unwrap();
-                for (l, (a, b)) in ds.levels().iter().zip(out.levels()).enumerate() {
-                    let Some((min, max)) = a.value_range() else {
-                        continue;
-                    };
-                    let range = if per_level { max - min } else { gmax - gmin };
-                    let eb = 1e-3 * range;
-                    for i in a.mask().iter_ones() {
-                        assert!(
-                            (a.data()[i] - b.data()[i]).abs() <= eb * (1.0 + 1e-9),
-                            "{method:?}/{codec} level {l} cell {i}"
-                        );
-                    }
+            let bytes = cd.to_bytes();
+            let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
+            assert_eq!(parsed, cd, "{method:?}/{codec}");
+            let out = decompress_dataset(&parsed).unwrap();
+            for (l, (a, b)) in ds.levels().iter().zip(out.levels()).enumerate() {
+                let Some((min, max)) = a.value_range() else {
+                    continue;
+                };
+                let range = if per_level { max - min } else { gmax - gmin };
+                let eb = 1e-3 * range;
+                for i in a.mask().iter_ones() {
+                    assert!(
+                        (a.data()[i] - b.data()[i]).abs() <= eb * (1.0 + 1e-9),
+                        "{method:?}/{codec} level {l} cell {i}"
+                    );
                 }
             }
         }
@@ -123,17 +123,16 @@ fn codec_tag_mismatch_is_rejected() {
             l.codec = CodecId::PcoLite;
         }
     }
-    for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
-        let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
-        let err = decompress_dataset(&parsed).unwrap_err();
-        assert!(
-            err.to_string().contains("pco-lite"),
-            "expected a wrong-codec error, got: {err}"
-        );
-    }
+    let bytes = cd.to_bytes();
+    let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
+    let err = decompress_dataset(&parsed).unwrap_err();
+    assert!(
+        err.to_string().contains("pco-lite"),
+        "expected a wrong-codec error, got: {err}"
+    );
 }
 
-/// Flipping a single chunk-table codec byte in a v3 container must be
+/// Flipping a single chunk-table codec byte in a v4 container must be
 /// caught at parse time (the table would otherwise route the chunk to
 /// the wrong backend).
 #[test]
@@ -141,12 +140,22 @@ fn tampered_chunk_codec_byte_is_rejected_at_parse() {
     let ds = small_z10();
     let cd = compress_dataset(&ds, &cfg_codec(1, CodecId::PcoLite), Method::Tac).unwrap();
     let bytes = cd.to_bytes();
-    assert_eq!(bytes[4], 3, "PcoLite containers serialize as v3");
-    // v3 chunk rows: level u8 + offset u64 + len u64, then the codec
-    // byte at offset 17 within the row; rows start 4 bytes after the
-    // table position recorded in the footer.
-    let table_pos = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap()) as usize;
-    let codec_at = table_pos + 4 + 17;
+    assert_eq!(bytes[4], VERSION_V4);
+    // v4 chunk rows (CHUNK_ROW_BYTES_V4 each): level u8 + offset u64 +
+    // len u64, then the codec byte at offset 17 within the row and the
+    // dtype byte after it; rows start after the count prefix at the
+    // table position recorded in the footer. Tamper with the last row.
+    let footer = bytes.len() - TABLE_FOOTER_BYTES;
+    let table_pos = u64::from_le_bytes(bytes[footer..].try_into().unwrap()) as usize;
+    let count = u32::from_le_bytes(
+        bytes[table_pos..table_pos + CHUNK_COUNT_PREFIX_BYTES]
+            .try_into()
+            .unwrap(),
+    ) as usize;
+    assert!(count > 1);
+    let last_row = table_pos + CHUNK_COUNT_PREFIX_BYTES + (count - 1) * CHUNK_ROW_BYTES_V4;
+    assert_eq!(last_row + CHUNK_ROW_BYTES_V4, footer);
+    let codec_at = last_row + 17;
     let mut tampered = bytes.clone();
     assert_eq!(tampered[codec_at], CodecId::PcoLite.tag());
     tampered[codec_at] = CodecId::Sz.tag();
@@ -297,13 +306,16 @@ fn roi_decode_reads_strictly_fewer_bytes() {
     }
 }
 
-/// Legacy v1 bytes stay readable and decode to the same dataset as v2.
+/// Legacy v1 bytes stay readable and decode to the same dataset as v2:
+/// the two frozen golden encodings of one TAC container.
 #[test]
 fn v1_and_v2_decode_identically() {
-    let ds = small_z10();
-    let cd = compress_dataset(&ds, &cfg_with(1), Method::Tac).unwrap();
-    let via_v1 = CompressedDataset::from_bytes(&cd.to_bytes_v1()).unwrap();
-    let via_v2 = CompressedDataset::from_bytes(&cd.to_bytes()).unwrap();
+    let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data");
+    let v1 = std::fs::read(data.join("golden_tac_v1.tacd")).unwrap();
+    let v2 = std::fs::read(data.join("golden_tac_v2.tacd")).unwrap();
+    assert_eq!((v1[4], v2[4]), (VERSION_V1, VERSION_V2));
+    let via_v1 = CompressedDataset::from_bytes(&v1).unwrap();
+    let via_v2 = CompressedDataset::from_bytes(&v2).unwrap();
     assert_eq!(via_v1, via_v2);
     let a = decompress_dataset(&via_v1).unwrap();
     let b = decompress_dataset(&via_v2).unwrap();
